@@ -6,7 +6,8 @@ invocations; diagnostics and warnings go to stderr.  Exit codes:
     0  success
     1  a claimed-pass postulate cell recorded a violation
     2  parse error (formula or profile file)
-    3  invalid input: inconsistent KB, vocabulary cap, bad bounds
+    3  invalid input: inconsistent KB, vocabulary cap, bad bounds, or a
+       file that cannot be read or written
     4  inconsistent integrity constraint (degenerate false result printed)
     5  the two formulas of ``equiv`` are not equivalent
 """
@@ -107,7 +108,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (InconsistentKBError, VocabularyCapError, UnknownVariableError,
-            InconsistentFormulaError, ValueError) as exc:
+            InconsistentFormulaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

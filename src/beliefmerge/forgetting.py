@@ -18,6 +18,8 @@ from .semantics import (
     InconsistentFormulaError,
     ModelSet,
     UnknownVariableError,
+    _assignment_space,
+    _dilate_once,
     _iter_masks,
     to_dnf,
     truth_vector,
@@ -58,11 +60,10 @@ def dilate(formula: Formula, rounds: int, vocabulary: Iterable[str] | None = Non
     vector = truth_vector(formula, vocab, cap)
     if not vector:
         raise InconsistentFormulaError("cannot dilate an inconsistent formula")
-    ball = set(_iter_masks(vector))
-    width = len(vocab)
-    for _ in range(min(rounds, width)):
-        ball |= {mask ^ (1 << j) for mask in ball for j in range(width)}
-    return to_dnf(ModelSet(vocab, frozenset(ball)))
+    space, patterns = _assignment_space(vocab)
+    for _ in range(min(rounds, len(vocab))):
+        vector = _dilate_once(vector, space, patterns)
+    return to_dnf(ModelSet(vocab, frozenset(_iter_masks(vector))))
 
 
 def dilate_via_forgetting(formula: Formula, rounds: int,

@@ -25,6 +25,8 @@ from .semantics import (
     DEFAULT_VOCAB_CAP,
     ModelSet,
     _assignment_space,
+    _dilate_once,
+    _flip,
     _iter_masks,
     to_dnf,
     truth_vector,
@@ -96,59 +98,125 @@ def _degenerate(tag: str, vocab: tuple[str, ...], **evidence) -> MergeResult:
 
 
 # ---------------------------------------------------------------------------
-# distance-minimising forms
+# distance-minimising forms, read off dilation layers
+#
+# The k-th dilation of a KB (its models' Hamming ball of radius k) is the
+# disjunction, over every set of k variables, of the KB with that set
+# forgotten; distances come from growing the balls one flip at a time.  Per-model integers are held bit-sliced: a counter is a
+# list of truth tables, least significant plane first, and bit m of plane j
+# is bit j of assignment m's value.
 
-def _model_merge(profile: Profile, aggregate, cap: int):
-    """Constraint models minimising ``aggregate`` of per-KB distances."""
+def _dilation_layers(profile: Profile, cap: int):
+    """Constraint table and, per KB position, the balls ``balls[k]`` of
+    radius k around that KB, grown until the last covers the constraint.
+    Repeated KBs share one list."""
     vocab = profile.vocabulary
     mu_vector = truth_vector(profile.constraint, vocab, cap)
     if not mu_vector:
-        return vocab, None, None
-    # repeated KBs share one mask list; positions map back to the multiset
-    distinct: dict[Formula, int] = {}
-    mask_lists: list[list[int]] = []
+        return vocab, 0, []
+    space, patterns = _assignment_space(vocab)
+    grown: dict[Formula, list[int]] = {}
     for kb in profile.kbs:
-        if kb not in distinct:
-            distinct[kb] = len(mask_lists)
-            mask_lists.append(list(_iter_masks(truth_vector(kb, vocab, cap))))
-    positions = [distinct[kb] for kb in profile.kbs]
-    best_key = None
-    winners: list[int] = []
-    for mask in _iter_masks(mu_vector):
-        nearest = [min((mask ^ m).bit_count() for m in masks)
-                   for masks in mask_lists]
-        key = aggregate(tuple(nearest[j] for j in positions))
-        if best_key is None or key < best_key:
-            best_key, winners = key, [mask]
-        elif key == best_key:
-            winners.append(mask)
-    return vocab, winners, best_key
+        if kb not in grown:
+            balls = [truth_vector(kb, vocab, cap)]
+            while mu_vector & ~balls[-1]:
+                balls.append(_dilate_once(balls[-1], space, patterns))
+            grown[kb] = balls
+    return vocab, mu_vector, [grown[kb] for kb in profile.kbs]
+
+
+def _ball(balls: list[int], k: int) -> int:
+    """Radius-k ball; past the last layer it agrees with the last on the
+    constraint models, which is all any caller reads."""
+    return balls[min(k, len(balls) - 1)]
+
+
+def _distance_planes(balls: list[int]) -> list[int]:
+    """Bit-sliced distance to the KB: ring k (``balls[k]`` minus
+    ``balls[k-1]``) holds the assignments at distance exactly k."""
+    planes = [0] * (len(balls) - 1).bit_length()
+    inner = 0
+    for k, ball in enumerate(balls):
+        ring = ball ^ inner
+        inner = ball
+        for j in range(k.bit_length()):
+            if k >> j & 1:
+                planes[j] |= ring
+    return planes
+
+
+def _add(first: list[int], second: list[int]) -> list[int]:
+    """Ripple-carry sum of two bit-sliced counters."""
+    if len(first) < len(second):
+        first, second = second, first
+    total, carry = [], 0
+    for j, plane in enumerate(first):
+        other = second[j] if j < len(second) else 0
+        total.append(plane ^ other ^ carry)
+        carry = (plane & other) | (carry & (plane ^ other))
+    if carry:
+        total.append(carry)
+    return total
+
+
+def _least(planes: list[int], candidates: int) -> tuple[int, int]:
+    """Least counter value over the ``candidates`` table and the candidates
+    that hold it, deciding one bit at a time from the top plane down."""
+    value = 0
+    for j in range(len(planes) - 1, -1, -1):
+        below = candidates & ~planes[j]
+        if below:
+            candidates = below
+        else:
+            value |= 1 << j
+    return value, candidates
 
 
 def merge_sigma(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Keep the constraint models with the least summed distance to the KBs."""
-    vocab, winners, best = _model_merge(profile, sum, cap)
-    if winners is None:
+    vocab, mu_vector, layers = _dilation_layers(profile, cap)
+    if not mu_vector:
         return _degenerate("sigma", vocab)
-    return _result("sigma", vocab, winners, k=best)
+    total: list[int] = []
+    for balls in layers:
+        total = _add(total, _distance_planes(balls))
+    best, winners = _least(total, mu_vector)
+    return _result("sigma", vocab, _iter_masks(winners), k=best)
 
 
 def merge_max(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Keep the constraint models with the least worst-case distance."""
-    vocab, winners, best = _model_merge(profile, max, cap)
-    if winners is None:
+    vocab, mu_vector, layers = _dilation_layers(profile, cap)
+    if not mu_vector:
         return _degenerate("max", vocab)
-    return _result("max", vocab, winners, k=best)
+    k = 0
+    while True:
+        winners = mu_vector
+        for balls in layers:
+            winners &= _ball(balls, k)
+        if winners:
+            return _result("max", vocab, _iter_masks(winners), k=k)
+        k += 1
 
 
 def merge_gmax(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Keep the constraint models whose descending-sorted distance vectors
     are lexicographically least."""
-    vocab, winners, best = _model_merge(
-        profile, lambda vec: tuple(sorted(vec, reverse=True)), cap)
-    if winners is None:
+    vocab, mu_vector, layers = _dilation_layers(profile, cap)
+    if not mu_vector:
         return _degenerate("gmax", vocab)
-    return _result("gmax", vocab, winners, distance_tuple=best)
+    # Comparing sorted vectors leximax-first is comparing, from the largest
+    # k down, how many KBs lie at distance k or more.
+    candidates, worst = mu_vector, []
+    for k in range(max(len(balls) for balls in layers) - 1, 0, -1):
+        count: list[int] = []
+        for balls in layers:
+            count = _add(count, [candidates & ~_ball(balls, k - 1)])
+        at_least_k, candidates = _least(count, candidates)
+        worst.extend([k] * (at_least_k - len(worst)))
+    worst.extend([0] * (len(layers) - len(worst)))
+    return _result("gmax", vocab, _iter_masks(candidates),
+                   distance_tuple=tuple(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +251,8 @@ class _ClosureTable:
         if cached is None:
             prev = self.closed(index, names[:-1])
             name = names[-1]
-            weight = self.weights[name]
-            high = self.patterns[name]
-            low = self.space ^ high
-            cached = prev | ((prev & high) >> weight) | ((prev & low) << weight)
+            cached = prev | _flip(prev, self.weights[name], self.patterns[name],
+                                  self.space)
             self._cache[key] = cached
         return cached
 

@@ -171,6 +171,23 @@ def _assignment_space(vocabulary: tuple[str, ...]) -> tuple[int, dict[str, int]]
     return space, patterns
 
 
+def _flip(table: int, weight: int, pattern: int, space: int) -> int:
+    """``table`` with one variable negated in every member: ``pattern`` is
+    that variable's own truth table and ``weight`` its bit in a mask."""
+    return ((table & pattern) >> weight) | ((table & (space ^ pattern)) << weight)
+
+
+def _dilate_once(table: int, space: int, patterns: dict[str, int]) -> int:
+    """Assignments within Hamming distance one of a member of ``table``;
+    ``patterns`` is in vocabulary order, as :func:`_assignment_space` gives."""
+    grown = table
+    weight = space.bit_length() >> 1  # the first variable's: 2^(n-1)
+    for pattern in patterns.values():
+        grown |= _flip(table, weight, pattern, space)
+        weight >>= 1
+    return grown
+
+
 def truth_vector(formula: Formula, vocabulary: Iterable[str],
                  cap: int = DEFAULT_VOCAB_CAP) -> int:
     """Dense truth table of ``formula`` over ``vocabulary`` as a big integer."""

@@ -84,6 +84,13 @@ class TestMerge:
         assert code == 3
         assert "cap" in err
 
+    def test_missing_file_exit_3(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "merge", "-f", str(tmp_path / "absent.profile"),
+                                "-o", "sigma")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "absent.profile" in err
+
     def test_degenerate_constraint_exit_4(self, capsys, tmp_path):
         deg = tmp_path / "deg.profile"
         deg.write_text("constraint: q & !q\nkb: p\n")
@@ -120,6 +127,13 @@ class TestFormulaCommands:
         code, _, err = invoke(capsys, "dilate", "p & !p", "-n", "1")
         assert code == 3
         assert "inconsistent" in err
+
+    def test_dilate_missing_file_exit_3(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "dilate", "-f", str(tmp_path / "absent.txt"),
+                                "-n", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "absent.txt" in err
 
     def test_equiv_yes(self, capsys):
         code, out, _ = invoke(capsys, "equiv", "p -> q", "!p | q")
@@ -180,6 +194,12 @@ class TestCheck:
         assert cells["Maj"]["violations"]
         for record in cells["Maj"]["violations"]:
             assert replay_violation(record)
+
+    def test_unwritable_report_exit_3(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, "check", "-o", "sigma", "--postulates", "IC0",
+                              "--trials", "1", "--report", str(tmp_path))
+        assert code == 3
+        assert err.startswith("error:")
 
     def test_violation_on_a_claimed_cell_exits_1(self, capsys, monkeypatch):
         # sabotage the sum operator so a claimed-pass cell really fails

@@ -28,6 +28,53 @@ from beliefmerge import (
 from beliefmerge.postulates import VAR_POOL, random_consistent_formula, random_dnf
 
 
+AGGREGATES = {
+    "sigma": sum,
+    "max": max,
+    "gmax": lambda distances: tuple(sorted(distances, reverse=True)),
+}
+
+
+def hand_oracle(profile, aggregate):
+    """Least ``aggregate`` of per-KB distances over the constraint models,
+    each distance scored one model pair at a time, and the models at it."""
+    scored = {}
+    for omega in models(profile.constraint, profile.vocabulary):
+        scored[omega.mask] = aggregate([distance_to_formula(omega, kb)
+                                        for kb in profile.kbs])
+    best = min(scored.values())
+    return best, {m for m, score in scored.items() if score == best}
+
+
+def oracle_profiles():
+    """Seeded profiles over 5-8 variables with 1-5 KBs.  The last variable
+    appears only in the constraint; KBs repeat and ``true`` KBs occur.  Full
+    cubes of opposite sign put KBs up to n flips from every constraint
+    model, so summed distances run to 40 and carry across six planes."""
+    rng = random.Random("distance-oracle")
+    for _ in range(40):
+        names = VAR_POOL[: rng.randint(5, 8)]
+        kbs = []
+        for _ in range(rng.randint(1, 5)):
+            roll = rng.random()
+            if kbs and roll < 0.25:
+                kbs.append(rng.choice(kbs))
+            elif roll < 0.35:
+                kbs.append(TRUE)
+            else:
+                kbs.append(random_dnf(rng, names[:-1]))
+        foreign = parse(names[-1] if rng.random() < 0.5 else "!" + names[-1])
+        mu = conj([random_consistent_formula(rng, names[:-1]), foreign])
+        yield Profile(tuple(kbs), mu, extra_vars=names)
+    for n in (5, 8):
+        up = conj([parse(name) for name in VAR_POOL[:n]])
+        down = conj([parse("!" + name) for name in VAR_POOL[:n]])
+        half = conj([parse("!" + name) for name in VAR_POOL[: n // 2]])
+        yield Profile((up,) * 5, down)
+        yield Profile((up, up, up, TRUE), half)
+        yield Profile((up, down, up, random_dnf(rng, VAR_POOL[:n])), TRUE)
+
+
 class TestProfile:
     def test_vocabulary_covers_constraint_and_extras(self):
         prof = Profile((parse("p"),), parse("q"), extra_vars=("z",))
@@ -54,13 +101,7 @@ class TestCoOwners:
 
     def test_max_matches_a_hand_oracle(self, co_owners):
         result = merge_max(co_owners)
-        vocab = co_owners.vocabulary
-        scored = {}
-        for omega in models(co_owners.constraint, vocab):
-            scored[omega.mask] = max(distance_to_formula(omega, kb)
-                                     for kb in co_owners.kbs)
-        best = min(scored.values())
-        oracle = {m for m, score in scored.items() if score == best}
+        best, oracle = hand_oracle(co_owners, max)
         assert result.model_set.masks == oracle
         assert result.k == best == 2
 
@@ -78,6 +119,22 @@ class TestCoOwners:
 
     def test_gmax_worst_entry_matches_max_k(self, co_owners):
         assert max(merge_gmax(co_owners).distance_tuple) == merge_max(co_owners).k
+
+
+class TestDistanceOracle:
+    @pytest.mark.parametrize("tag", sorted(AGGREGATES))
+    def test_matches_a_hand_oracle(self, tag):
+        for prof in oracle_profiles():
+            result = OPERATORS[tag](prof)
+            best, oracle = hand_oracle(prof, AGGREGATES[tag])
+            assert result.model_set.masks == oracle, (tag, prof)
+            evidence = result.distance_tuple if tag == "gmax" else result.k
+            assert evidence == best, (tag, prof)
+
+    def test_far_profiles_need_many_planes(self):
+        sums = [hand_oracle(prof, sum)[0] for prof in oracle_profiles()]
+        assert max(sums) == 40
+        assert sum(k >= 8 for k in sums) >= 3
 
 
 class TestSplitVote:
