@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from .formula import ParseError, format_formula, parse, variables
-from .forgetting import dilate, forget
+from .forgetting import _dilated_models, forget
 from .merging import InconsistentKBError, MergeResult, OPERATORS
 from .postulates import (
     CLAIMED_PASS,
@@ -191,11 +191,9 @@ def _cmd_forget(args) -> int:
 
 def _cmd_dilate(args) -> int:
     formula = _load_formula(args)
-    vocab = variables(formula)
-    grown = dilate(formula, args.n, vocab, cap=args.max_vocab)
-    model_set = models(grown, vocab, cap=args.max_vocab)
-    print(format_formula(grown))
-    print(f"models: {len(model_set)}")
+    ball = _dilated_models(formula, args.n, cap=args.max_vocab)
+    print(format_formula(to_dnf(ball)))
+    print(f"models: {len(ball)}")
     return EXIT_OK
 
 
@@ -241,6 +239,35 @@ def _cmd_check(args) -> int:
     postulates = _parse_postulates(args.postulates)
     bounds = GeneratorBounds(max_vars=args.max_vars, max_kbs=args.max_kbs,
                              seed=args.seed)
+    # opened before the first cell, so an unwritable path costs no run
+    report = open(args.report, "w", encoding="utf-8") if args.report else None
+    try:
+        cells, gate_failures = _run_cells(args, postulates, bounds)
+        if report is not None:
+            payload = {
+                "operator": args.operator,
+                "trials": args.trials,
+                "seed": args.seed,
+                "max_vars": args.max_vars,
+                "max_kbs": args.max_kbs,
+                "cells": [{
+                    "postulate": cell.postulate.value,
+                    "verdict": cell.verdict,
+                    "trials": cell.trials,
+                    "violations": list(cell.violations),
+                } for cell in cells],
+            }
+            json.dump(payload, report, indent=2, sort_keys=True)
+            report.write("\n")
+    finally:
+        if report is not None:
+            report.close()
+    return EXIT_VIOLATION if gate_failures else EXIT_OK
+
+
+def _run_cells(args, postulates, bounds):
+    """Run and print every cell; return the reports and how many
+    claimed-pass cells recorded a violation."""
     claimed = CLAIMED_PASS.get(args.operator, frozenset())
     expected_fail = EXPECTED_FAIL.get(args.operator, frozenset())
     gate_failures = 0
@@ -265,24 +292,7 @@ def _cmd_check(args) -> int:
             _print_witness(report.violations[0])
             if pid in claimed:
                 gate_failures += 1
-    if args.report:
-        payload = {
-            "operator": args.operator,
-            "trials": args.trials,
-            "seed": args.seed,
-            "max_vars": args.max_vars,
-            "max_kbs": args.max_kbs,
-            "cells": [{
-                "postulate": report.postulate.value,
-                "verdict": report.verdict,
-                "trials": report.trials,
-                "violations": list(report.violations),
-            } for report in cells],
-        }
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return EXIT_VIOLATION if gate_failures else EXIT_OK
+    return cells, gate_failures
 
 
 def _print_witness(record: dict) -> None:

@@ -54,6 +54,14 @@ def dilate(formula: Formula, rounds: int, vocabulary: Iterable[str] | None = Non
            cap: int = DEFAULT_VOCAB_CAP) -> Formula:
     """Formula whose models lie within Hamming distance ``rounds`` of some
     model of ``formula``, as a full-minterm DNF over ``vocabulary``."""
+    return to_dnf(_dilated_models(formula, rounds, vocabulary, cap))
+
+
+def _dilated_models(formula: Formula, rounds: int,
+                    vocabulary: Iterable[str] | None = None,
+                    cap: int = DEFAULT_VOCAB_CAP) -> ModelSet:
+    """The model set that :func:`dilate` prints, read off the grown ball's
+    truth table, for callers that also need its size."""
     if rounds < 0:
         raise ValueError("dilation distance must be non-negative")
     vocab = tuple(vocabulary) if vocabulary is not None else variables(formula)
@@ -63,7 +71,7 @@ def dilate(formula: Formula, rounds: int, vocabulary: Iterable[str] | None = Non
     space, patterns = _assignment_space(vocab)
     for _ in range(min(rounds, len(vocab))):
         vector = _dilate_once(vector, space, patterns)
-    return to_dnf(ModelSet(vocab, frozenset(_iter_masks(vector))))
+    return ModelSet(vocab, frozenset(_iter_masks(vector)))
 
 
 def dilate_via_forgetting(formula: Formula, rounds: int,

@@ -11,14 +11,19 @@ every KB, minimal by cardinality (f1) or by set inclusion (f2).
 All searches run over switch-closures of truth tables, which is exactly
 the model characterisation of forgetting; the syntactic ``forget`` in
 :mod:`beliefmerge.forgetting` is the operator the closure is validated
-against.
+against.  Each distinct KB memoises its closures by a mask over its own
+variables.  Forgetting more never loses consistency, so f2 finds its
+minimal sets by joint generation: it tests the largest sets that contain
+no set found so far (complements of minimal hitting sets) and shrinks
+any that succeeds.  f1 stays level-wise by size, which bounds its cost by
+the size of its answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .formula import FALSE, Formula, TRUE, variables
 from .semantics import (
@@ -30,7 +35,6 @@ from .semantics import (
     _iter_masks,
     to_dnf,
     truth_vector,
-    vocabulary_union,
 )
 
 
@@ -223,44 +227,70 @@ def merge_gmax(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
 # forgetting-based forms
 
 class _ClosureTable:
-    """Per-KB truth tables and their switch-closures, memoised per forgotten
-    set.  Closing a table under flips of V is the model-level form of
-    forgetting V."""
+    """Per distinct KB, its truth table and switch-closures of it, memoised
+    by a mask over the KB's own variables (bit j: its j-th variable in
+    sorted order).  Closing a table under flips of V is the model-level form
+    of forgetting V.
+
+    A shared forgotten set is given as indices into ``pool``, the sorted
+    variables of all KBs; ``owners[i]`` lists the (distinct KB, own bit)
+    pairs that pool variable i projects to.  Variables foreign to a KB are
+    flip-free in it and project nowhere."""
 
     def __init__(self, profile: Profile, vocab: tuple[str, ...], cap: int):
-        self.space, self.patterns = _assignment_space(vocab)
+        self.space, patterns = _assignment_space(vocab)
         n = len(vocab)
-        self.weights = {name: 1 << (n - 1 - j) for j, name in enumerate(vocab)}
-        first_index: dict[Formula, int] = {}
-        base_by_formula: dict[Formula, int] = {}
-        for i, kb in enumerate(profile.kbs):
-            if kb not in base_by_formula:
-                base_by_formula[kb] = truth_vector(kb, vocab, cap)
-                first_index[kb] = i
-        self.base = [base_by_formula[kb] for kb in profile.kbs]
-        self.kb_vars = list(profile.kb_variables)
-        self._keys = [first_index[kb] for kb in profile.kbs]
-        self._cache: dict[tuple[int, tuple[str, ...]], int] = {}
+        weights = {name: 1 << (n - 1 - j) for j, name in enumerate(vocab)}
+        own = dict(zip(profile.kbs, profile.kb_variables))
+        distinct = list(own)
+        where = {kb: index for index, kb in enumerate(distinct)}
+        self.position = [where[kb] for kb in profile.kbs]
+        self.own_vars = [own[kb] for kb in distinct]
+        self._flips = [[(weights[name], patterns[name]) for name in names]
+                       for names in self.own_vars]
+        self._memo = [{0: truth_vector(kb, vocab, cap)} for kb in distinct]
+        self.pool = tuple(sorted(set().union(*self.own_vars)))
+        at = {name: i for i, name in enumerate(self.pool)}
+        self.owners: list[list[tuple[int, int]]] = [[] for _ in self.pool]
+        for kb, names in enumerate(self.own_vars):
+            for j, name in enumerate(names):
+                self.owners[at[name]].append((kb, 1 << j))
 
-    def closed(self, index: int, names: tuple[str, ...]) -> int:
-        """Truth table of KB ``index`` closed under flips of ``names``."""
-        if not names:
-            return self.base[index]
-        key = (self._keys[index], names)
-        cached = self._cache.get(key)
-        if cached is None:
-            prev = self.closed(index, names[:-1])
-            name = names[-1]
-            cached = prev | _flip(prev, self.weights[name], self.patterns[name],
-                                  self.space)
-            self._cache[key] = cached
-        return cached
+    def closed(self, kb: int, mask: int) -> int:
+        """Truth table of distinct KB ``kb`` closed under flips of the own
+        variables in ``mask``, grown from its longest memoised prefix (the
+        mask less its highest bits) one flip per missing bit."""
+        memo = self._memo[kb]
+        table = memo.get(mask)
+        if table is not None:
+            return table
+        missing = []
+        prefix = mask
+        while table is None:
+            top = prefix.bit_length() - 1
+            missing.append(top)
+            prefix ^= 1 << top
+            table = memo.get(prefix)
+        flips = self._flips[kb]
+        for j in reversed(missing):
+            prefix |= 1 << j
+            weight, pattern = flips[j]
+            table |= _flip(table, weight, pattern, self.space)
+            memo[prefix] = table
+        return table
 
-    def closed_shared(self, index: int, names: tuple[str, ...]) -> int:
-        """Closure under a set shared across the profile; variables foreign
-        to this KB are flip-free already and are dropped."""
-        own = set(self.kb_vars[index])
-        return self.closed(index, tuple(v for v in names if v in own))
+    def shared(self, chosen: Iterable[int], vector: int) -> int:
+        """``vector`` narrowed to the models of every KB with the pool
+        variables ``chosen`` (indices into ``pool``) forgotten."""
+        own = [0] * len(self._memo)
+        for i in chosen:
+            for kb, bit in self.owners[i]:
+                own[kb] |= bit
+        for kb, kb_mask in enumerate(own):
+            vector &= self.closed(kb, kb_mask)
+            if not vector:
+                break
+        return vector
 
 
 def _prepare(profile: Profile, cap: int):
@@ -276,13 +306,15 @@ def _selection_union(table: _ClosureTable, mu_vector: int,
     own variable count saturate at forgetting everything it has."""
     choices = []
     for i, count in enumerate(counts):
-        own = table.kb_vars[i]
-        choices.append(list(combinations(own, min(count, len(own)))))
+        kb = table.position[i]
+        bits = [1 << j for j in range(len(table.own_vars[kb]))]
+        choices.append([(kb, sum(chosen))
+                        for chosen in combinations(bits, min(count, len(bits)))])
     union = 0
     for selection in product(*choices):
         vector = mu_vector
-        for i, names in enumerate(selection):
-            vector &= table.closed(i, names)
+        for kb, mask in selection:
+            vector &= table.closed(kb, mask)
             if not vector:
                 break
         union |= vector
@@ -320,7 +352,7 @@ def merge_sigma_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeR
     if not mu_vector:
         return _degenerate("sigma-forget", vocab)
     table = _ClosureTable(profile, vocab, cap)
-    sizes = [len(v) for v in table.kb_vars]
+    sizes = [len(v) for v in profile.kb_variables]
     for k in range(sum(sizes) + 1):
         union = 0
         for counts in _compositions(k, sizes):
@@ -337,7 +369,7 @@ def merge_max_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeRes
     if not mu_vector:
         return _degenerate("max-forget", vocab)
     table = _ClosureTable(profile, vocab, cap)
-    bound = max(len(v) for v in table.kb_vars)
+    bound = max(len(v) for v in profile.kb_variables)
     for k in range(bound + 1):
         union = _selection_union(table, mu_vector, (k,) * len(profile.kbs))
         if union:
@@ -353,7 +385,7 @@ def merge_gmax_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeRe
     if not mu_vector:
         return _degenerate("gmax-forget", vocab)
     table = _ClosureTable(profile, vocab, cap)
-    bound = max(len(v) for v in table.kb_vars)
+    bound = max(len(v) for v in profile.kb_variables)
     for tup in _descending_tuples(len(profile.kbs), bound):
         union = 0
         for counts in sorted(set(permutations(tup))):
@@ -367,43 +399,94 @@ def merge_gmax_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeRe
 # ---------------------------------------------------------------------------
 # shared-forgetting-set operators
 
-def _family_merge(profile: Profile, tag: str, by_inclusion: bool,
+def _least_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[tuple[int, ...], int]]:
+    """f1: every successful shared set of the least size, with its winners,
+    tried level by level.  Reading these off f2's family instead could cost
+    exponentially more when one small set succeeds beside many larger
+    minimal ones; the levels cost at most sum of C(|pool|, i) for i up to
+    the answer's size."""
+    pool = range(len(table.pool))
+    for size in range(len(pool) + 1):
+        found = []
+        for chosen in combinations(pool, size):
+            vector = table.shared(chosen, mu_vector)
+            if vector:
+                found.append((chosen, vector))
+        if found:
+            return found
+    raise AssertionError("unreachable: forgetting every variable always succeeds")
+
+
+def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[tuple[int, ...], int]]:
+    """f2: every inclusion-minimal successful shared set, with its winners,
+    by joint generation.  A set containing no member of the family found so
+    far lies inside ``pool - h`` for some minimal hitting set h of that
+    family, so the family is complete once every such top fails; a top
+    that succeeds is shrunk, one variable at a time, to a new minimal
+    member.  Tops that failed stay failed and are not tested again."""
+    full = (1 << len(table.pool)) - 1
+    found: list[tuple[tuple[int, ...], int]] = []
+    transversals, failed = [0], set()
+    while True:
+        for hit in transversals:
+            top = full ^ hit
+            if top in failed:
+                continue
+            vector = table.shared(_iter_masks(top), mu_vector)
+            if vector:
+                break
+            failed.add(top)
+        else:
+            return found
+        minimal = top
+        for i in _iter_masks(top):
+            trial = minimal ^ 1 << i
+            narrowed = table.shared(_iter_masks(trial), mu_vector)
+            if narrowed:
+                minimal, vector = trial, narrowed
+        found.append((tuple(_iter_masks(minimal)), vector))
+        transversals = _transversals_with(transversals, minimal)
+
+
+def _transversals_with(transversals: list[int], new: int) -> list[int]:
+    """Minimal hitting sets of a family with ``new`` added, from those of
+    the family before (Berge): keep the ones that hit ``new``, extend the
+    others by each of its members, and drop every non-minimal result."""
+    kept = [h for h in transversals if h & new]
+    grown = dict.fromkeys(h | 1 << i for h in transversals if not h & new
+                          for i in _iter_masks(new))
+    return kept + [g for g in grown
+                   if not any(k & g == k for k in kept)
+                   and not any(o != g and o & g == o for o in grown)]
+
+
+def _family_merge(profile: Profile, tag: str,
+                  search: Callable[[_ClosureTable, int],
+                                   list[tuple[tuple[int, ...], int]]],
                   cap: int) -> MergeResult:
     vocab, mu_vector = _prepare(profile, cap)
     if not mu_vector:
         return _degenerate(tag, vocab, forgetting_family=())
     table = _ClosureTable(profile, vocab, cap)
-    pool = vocabulary_union(*profile.kbs)
-    family: list[tuple[str, ...]] = []
-    union = 0
-    for size in range(len(pool) + 1):
-        for candidate in combinations(pool, size):
-            if by_inclusion and any(set(found) <= set(candidate) for found in family):
-                continue  # strict superset of a success cannot be minimal
-            vector = mu_vector
-            for i in range(len(profile.kbs)):
-                vector &= table.closed_shared(i, candidate)
-                if not vector:
-                    break
-            if vector:
-                family.append(candidate)
-                union |= vector
-        if family and not by_inclusion:
-            break  # cardinality-minimal: stop at the first populated size
-    return _result(tag, vocab, _iter_masks(union),
-                   forgetting_family=tuple(family))
+    family, union = [], 0
+    for chosen, vector in search(table, mu_vector):
+        family.append(chosen)
+        union |= vector
+    family.sort(key=lambda chosen: (len(chosen), chosen))
+    names = tuple(tuple(table.pool[i] for i in chosen) for chosen in family)
+    return _result(tag, vocab, _iter_masks(union), forgetting_family=names)
 
 
 def merge_f1(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Forget one shared variable set of minimal cardinality from every KB;
     the result is the disjunction over all such sets of the forgotten KBs
     conjoined with the constraint."""
-    return _family_merge(profile, "f1", by_inclusion=False, cap=cap)
+    return _family_merge(profile, "f1", _least_sets, cap)
 
 
 def merge_f2(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """As f1, but the shared forgotten sets are minimal by set inclusion."""
-    return _family_merge(profile, "f2", by_inclusion=True, cap=cap)
+    return _family_merge(profile, "f2", _minimal_sets, cap)
 
 
 OPERATORS: dict[str, Callable[..., MergeResult]] = {

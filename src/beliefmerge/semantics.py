@@ -231,11 +231,16 @@ def _vector(formula: Formula, space: int, patterns: dict[str, int]) -> int:
 
 
 def _iter_masks(vector: int) -> Iterator[int]:
-    """Set bit positions of ``vector``, ascending."""
-    while vector:
-        low = vector & -vector
-        yield low.bit_length() - 1
-        vector ^= low
+    """Set bit positions of ``vector``, ascending.
+
+    One scan of the binary digits from the low end; clearing one bit at a
+    time instead would copy the whole table per member."""
+    digits = bin(vector)
+    last = len(digits) - 1  # the digit of bit 0
+    index = digits.rfind("1")
+    while index > 1:  # digits[:2] is the "0b" prefix
+        yield last - index
+        index = digits.rfind("1", 2, index)
 
 
 def evaluate(formula: Formula, interpretation: Interpretation) -> bool:

@@ -201,6 +201,12 @@ class TestCheck:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_unwritable_report_fails_before_any_cell(self, capsys, tmp_path):
+        code, out, _ = invoke(capsys, "check", "-o", "f2", "--trials", "2",
+                              "--report", str(tmp_path))
+        assert code == 3
+        assert out == ""
+
     def test_violation_on_a_claimed_cell_exits_1(self, capsys, monkeypatch):
         # sabotage the sum operator so a claimed-pass cell really fails
         def ignores_the_constraint(profile, cap=24):

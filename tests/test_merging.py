@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,9 +11,11 @@ from beliefmerge import (
     Profile,
     TRUE,
     conj,
+    disj,
     distance_to_formula,
     entails,
     equivalent,
+    forget,
     merge_f1,
     merge_f2,
     merge_gmax,
@@ -24,6 +27,8 @@ from beliefmerge import (
     models,
     parse,
     to_dnf,
+    truth_vector,
+    variables,
 )
 from beliefmerge.postulates import VAR_POOL, random_consistent_formula, random_dnf
 
@@ -73,6 +78,79 @@ def oracle_profiles():
         yield Profile((up,) * 5, down)
         yield Profile((up, up, up, TRUE), half)
         yield Profile((up, down, up, random_dnf(rng, VAR_POOL[:n])), TRUE)
+
+
+def family_oracle(profile):
+    """f1's and f2's families and winners from syntactic forgetting alone:
+    every subset V of the KBs' variables is tried with ``forget(kb, V)``,
+    and the families are read off the subsets that leave the KBs jointly
+    consistent with the constraint."""
+    vocab = profile.vocabulary
+    pool = sorted({name for kb in profile.kbs for name in variables(kb)})
+    mu = truth_vector(profile.constraint, vocab)
+    forgotten = {}
+    succeeded = {}
+    for size in range(len(pool) + 1):
+        for chosen in combinations(pool, size):
+            vector = mu
+            for kb in profile.kbs:
+                own = tuple(name for name in chosen if name in variables(kb))
+                if (kb, own) not in forgotten:
+                    forgotten[kb, own] = truth_vector(forget(kb, own), vocab)
+                vector &= forgotten[kb, own]
+            if vector:
+                succeeded[chosen] = vector
+    least = min(len(chosen) for chosen in succeeded)
+    by_size = [c for c in succeeded if len(c) == least]
+    by_inclusion = [c for c in succeeded
+                    if not any(set(other) < set(c) for other in succeeded)]
+
+    def winners(family):
+        union = 0
+        for chosen in family:
+            union |= succeeded[chosen]
+        return {m for m in range(1 << len(vocab)) if union >> m & 1}
+
+    return {"f1": (tuple(by_size), winners(by_size)),
+            "f2": (tuple(by_inclusion), winners(by_inclusion))}
+
+
+def near_cube(rng, world, names):
+    """A cube over some of ``names`` that agrees with ``world`` except on
+    up to three flipped variables."""
+    body = rng.sample(names, rng.randint(3, len(names)))
+    flipped = set(rng.sample(body, rng.randint(0, 3)))
+    return conj([parse(name if world[name] != (name in flipped) else "!" + name)
+                 for name in body])
+
+
+def family_profiles():
+    """Seeded profiles over 5-8 variables with 1-5 KBs: disjunctions of
+    cubes near one hidden world, whose flips give minimal sets of several
+    sizes, plus repeated and ``true`` KBs and a last variable only the
+    constraint mentions.  Then the split vote and two jointly consistent
+    profiles, one with no KB variables at all."""
+    rng = random.Random("family-oracle")
+    for _ in range(40):
+        names = VAR_POOL[: rng.randint(5, 8)]
+        world = {name: rng.random() < 0.5 for name in names}
+        kbs = []
+        for _ in range(rng.randint(1, 5)):
+            roll = rng.random()
+            if kbs and roll < 0.2:
+                kbs.append(rng.choice(kbs))
+            elif roll < 0.3:
+                kbs.append(TRUE)
+            else:
+                kbs.append(disj([near_cube(rng, world, names[:-1])
+                                 for _ in range(rng.randint(1, 3))]))
+        foreign = parse(names[-1] if rng.random() < 0.5 else "!" + names[-1])
+        mu = conj([random_consistent_formula(rng, names[:-1], depth=2), foreign])
+        yield Profile(tuple(kbs), mu, extra_vars=names)
+    yield Profile((parse("!p & !q & !r & !s"),
+                   parse("((p & !q & !r) | (!p & q & r)) & !s")))
+    yield Profile((parse("p"), parse("p | q")), parse("q | !q"))
+    yield Profile((TRUE, TRUE), parse("p & !q"))
 
 
 class TestProfile:
@@ -135,6 +213,24 @@ class TestDistanceOracle:
         sums = [hand_oracle(prof, sum)[0] for prof in oracle_profiles()]
         assert max(sums) == 40
         assert sum(k >= 8 for k in sums) >= 3
+
+
+class TestFamilyOracle:
+    def test_f1_and_f2_match_syntactic_forgetting(self):
+        minimal_families = []
+        for prof in family_profiles():
+            oracle = family_oracle(prof)
+            for tag in ("f1", "f2"):
+                result = OPERATORS[tag](prof)
+                family, winners = oracle[tag]
+                assert result.forgetting_family == family, (tag, prof)
+                assert result.model_set.masks == winners, (tag, prof)
+            minimal_families.append(oracle["f2"][0])
+        # the cases a search for minimal sets can get wrong are all present
+        assert ((),) in minimal_families  # jointly consistent
+        assert sum(len({len(c) for c in family}) > 1
+                   for family in minimal_families) >= 5
+        assert max(len(family) for family in minimal_families) >= 4
 
 
 class TestSplitVote:
