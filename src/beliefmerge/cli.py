@@ -5,7 +5,8 @@ invocations; diagnostics and warnings go to stderr.  Exit codes:
 
     0  success
     1  a claimed-pass postulate cell recorded a violation
-    2  parse error (formula or profile file)
+    2  parse error (formula or profile file), including a formula nested
+       deeper than ``formula.MAX_DEPTH`` levels
     3  invalid input: inconsistent KB, vocabulary cap, bad bounds, or a
        file that cannot be read or written
     4  inconsistent integrity constraint (degenerate false result printed)
@@ -15,8 +16,10 @@ invocations; diagnostics and warnings go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from .formula import ParseError, format_formula, parse, variables
@@ -33,6 +36,7 @@ from .profile_io import parse_profile
 from .semantics import (
     DEFAULT_VOCAB_CAP,
     InconsistentFormulaError,
+    Interpretation,
     MERGE_WARN_VARS,
     UnknownVariableError,
     VocabularyCapError,
@@ -51,6 +55,7 @@ EXIT_INCONSISTENT_CONSTRAINT = 4
 EXIT_NOT_EQUIVALENT = 5
 
 
+@functools.cache  # built on the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beliefmerge",
@@ -206,10 +211,7 @@ def _cmd_equiv(args) -> int:
     if left_vec == right_vec:
         print("equivalent")
         return EXIT_OK
-    witness_mask = next(_iter_masks(left_vec ^ right_vec))
-    n = len(vocab)
-    rendered = " ".join(f"{v}={(witness_mask >> (n - 1 - j)) & 1}"
-                        for j, v in enumerate(vocab))
+    rendered = str(Interpretation.from_mask(vocab, next(_iter_masks(left_vec ^ right_vec))))
     print("not equivalent")
     print(f"differs at: {rendered if rendered else '(the empty assignment)'}")
     return EXIT_NOT_EQUIVALENT
@@ -240,8 +242,8 @@ def _cmd_check(args) -> int:
     bounds = GeneratorBounds(max_vars=args.max_vars, max_kbs=args.max_kbs,
                              seed=args.seed)
     # opened before the first cell, so an unwritable path costs no run
-    report = open(args.report, "w", encoding="utf-8") if args.report else None
-    try:
+    with (open(args.report, "w", encoding="utf-8") if args.report
+          else nullcontext()) as report:
         cells, gate_failures = _run_cells(args, postulates, bounds)
         if report is not None:
             payload = {
@@ -259,9 +261,6 @@ def _cmd_check(args) -> int:
             }
             json.dump(payload, report, indent=2, sort_keys=True)
             report.write("\n")
-    finally:
-        if report is not None:
-            report.close()
     return EXIT_VIOLATION if gate_failures else EXIT_OK
 
 

@@ -20,7 +20,6 @@ from .semantics import (
     UnknownVariableError,
     _assignment_space,
     _dilate_once,
-    _iter_masks,
     to_dnf,
     truth_vector,
 )
@@ -47,7 +46,8 @@ def switch_models(model_set: ModelSet, name: str) -> ModelSet:
     if name not in vocab:
         raise UnknownVariableError(name)
     bit = 1 << (len(vocab) - 1 - vocab.index(name))
-    return ModelSet(vocab, frozenset(model_set.masks | {m ^ bit for m in model_set.masks}))
+    members = model_set.masks
+    return ModelSet(vocab, sum(1 << m for m in members | {m ^ bit for m in members}))
 
 
 def dilate(formula: Formula, rounds: int, vocabulary: Iterable[str] | None = None,
@@ -71,7 +71,7 @@ def _dilated_models(formula: Formula, rounds: int,
     space, patterns = _assignment_space(vocab)
     for _ in range(min(rounds, len(vocab))):
         vector = _dilate_once(vector, space, patterns)
-    return ModelSet(vocab, frozenset(_iter_masks(vector)))
+    return ModelSet(vocab, vector)
 
 
 def dilate_via_forgetting(formula: Formula, rounds: int,

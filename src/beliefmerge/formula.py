@@ -75,32 +75,24 @@ FALSE = Constant(False)
 
 def conj(parts: Iterable[Formula]) -> Formula:
     """Conjunction of ``parts``, flattening nested Ands; true when empty."""
-    flat: list[Formula] = []
-    for part in parts:
-        if isinstance(part, And):
-            flat.extend(part.children)
-        else:
-            flat.append(part)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _flattened(And, parts, TRUE)
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Disjunction of ``parts``, flattening nested Ors; false when empty."""
+    return _flattened(Or, parts, FALSE)
+
+
+def _flattened(kind: type, parts: Iterable[Formula], empty: Formula) -> Formula:
     flat: list[Formula] = []
     for part in parts:
-        if isinstance(part, Or):
+        if isinstance(part, kind):
             flat.extend(part.children)
         else:
             flat.append(part)
     if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+        return empty
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
 
 
 def variables(formula: Formula) -> tuple[str, ...]:
@@ -133,16 +125,11 @@ def substitute(formula: Formula, name: str, value: bool) -> Formula:
         return formula
     if isinstance(formula, Not):
         return Not(substitute(formula.child, name, value))
-    if isinstance(formula, And):
-        return And(tuple(substitute(c, name, value) for c in formula.children))
-    if isinstance(formula, Or):
-        return Or(tuple(substitute(c, name, value) for c in formula.children))
-    if isinstance(formula, Implies):
-        return Implies(substitute(formula.lhs, name, value),
-                       substitute(formula.rhs, name, value))
-    if isinstance(formula, Iff):
-        return Iff(substitute(formula.lhs, name, value),
-                   substitute(formula.rhs, name, value))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(tuple(substitute(c, name, value) for c in formula.children))
+    if isinstance(formula, (Implies, Iff)):
+        return type(formula)(substitute(formula.lhs, name, value),
+                             substitute(formula.rhs, name, value))
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -292,13 +279,24 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The parser and every walk over a tree recurse at least once per level;
+# this keeps them well inside Python's default limit of 1000 frames.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent.  Each rule returns its node and the node's depth,
+    where every connective and every pair of parentheses is one level.
+    ``open`` counts the levels the recursion is inside of, so that it stops
+    as soon as they alone cross the bound."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0
 
     def parse(self) -> Formula:
-        node = self._iff()
+        node, _ = self._iff()
         tok = self._peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected token {tok.text!r} after formula",
@@ -313,59 +311,83 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _iff(self) -> Formula:
-        node = self._implies()
+    def _level(self, depth: int, tok: _Token) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
+                             tok.line, tok.column, tok.text)
+        return depth
+
+    def _iff(self) -> tuple[Formula, int]:
+        node, depth = self._implies()
         while self._peek().kind == "<->":
-            self._advance()
-            node = Iff(node, self._implies())
-        return node
+            tok = self._advance()
+            rhs, rhs_depth = self._implies()
+            node, depth = Iff(node, rhs), self._level(max(depth, rhs_depth) + 1, tok)
+        return node, depth
 
-    def _implies(self) -> Formula:
-        node = self._or()
+    def _implies(self) -> tuple[Formula, int]:
+        node, depth = self._or()
         if self._peek().kind == "->":
-            self._advance()
-            return Implies(node, self._implies())
-        return node
+            tok = self._advance()
+            self.open = self._level(self.open + 1, tok)
+            rhs, rhs_depth = self._implies()
+            self.open -= 1
+            return Implies(node, rhs), self._level(max(depth, rhs_depth) + 1, tok)
+        return node, depth
 
-    def _or(self) -> Formula:
+    def _or(self) -> tuple[Formula, int]:
+        first = self._peek()
         parts = [self._and()]
         while self._peek().kind == "|":
             self._advance()
             parts.append(self._and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+        return self._joined(Or, parts, first)
 
-    def _and(self) -> Formula:
+    def _and(self) -> tuple[Formula, int]:
+        first = self._peek()
         parts = [self._not()]
         while self._peek().kind == "&":
             self._advance()
             parts.append(self._not())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+        return self._joined(And, parts, first)
 
-    def _not(self) -> Formula:
-        if self._peek().kind == "!":
+    def _joined(self, build, parts, tok: _Token) -> tuple[Formula, int]:
+        if len(parts) == 1:
+            return parts[0]
+        nodes, depths = zip(*parts)
+        return build(nodes), self._level(max(depths) + 1, tok)
+
+    def _not(self) -> tuple[Formula, int]:
+        tok = self._peek()
+        if tok.kind == "!":
             self._advance()
-            return Not(self._not())
+            self.open = self._level(self.open + 1, tok)
+            child, depth = self._not()
+            self.open -= 1
+            return Not(child), self._level(depth + 1, tok)
         return self._atom()
 
-    def _atom(self) -> Formula:
+    def _atom(self) -> tuple[Formula, int]:
         tok = self._peek()
         if tok.kind == "ident":
             self._advance()
             if tok.text == "true":
-                return TRUE
+                return TRUE, 0
             if tok.text == "false":
-                return FALSE
-            return Atom(tok.text)
+                return FALSE, 0
+            return Atom(tok.text), 0
         if tok.kind == "(":
             self._advance()
-            node = self._iff()
+            self.open = self._level(self.open + 1, tok)
+            node, depth = self._iff()
+            self.open -= 1
             closing = self._peek()
             if closing.kind != ")":
                 found = repr(closing.text) if closing.kind != "eof" else "end of input"
                 raise ParseError(f"expected ')', found {found}",
                                  closing.line, closing.column, closing.text)
             self._advance()
-            return node
+            return node, self._level(depth + 1, tok)
         found = repr(tok.text) if tok.kind != "eof" else "end of input"
         raise ParseError(f"expected a formula, found {found}", tok.line, tok.column, tok.text)
 
@@ -382,5 +404,8 @@ def parse(text: str) -> Formula:
         and     := not ("&" not)*
         not     := "!" not | atom
         atom    := IDENT | "true" | "false" | "(" formula ")"
+
+    More than ``MAX_DEPTH`` levels of connectives and parentheses is a
+    :class:`ParseError`.
     """
     return _Parser(_tokenize(text)).parse()

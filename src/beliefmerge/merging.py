@@ -22,10 +22,11 @@ the size of its answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .formula import FALSE, Formula, TRUE, variables
+from .formula import Formula, TRUE, variables
 from .semantics import (
     DEFAULT_VOCAB_CAP,
     ModelSet,
@@ -78,27 +79,24 @@ class Profile:
 
 @dataclass(frozen=True)
 class MergeResult:
-    """Winning models of one merge, their canonical DNF, and the operator's
-    evidence: the minimal aggregate ``k``, the minimal sorted distance
-    tuple, or the family of forgotten-variable sets."""
+    """Winning models of one merge and the operator's evidence: the minimal
+    aggregate ``k``, the minimal sorted distance tuple, or the family of
+    forgotten-variable sets.  The canonical DNF is built on first access."""
 
     operator: str
     model_set: ModelSet
-    formula: Formula
     k: int | None = None
     distance_tuple: tuple[int, ...] | None = None
     forgetting_family: tuple[tuple[str, ...], ...] | None = None
     degenerate_constraint: bool = False
 
+    @cached_property
+    def formula(self) -> Formula:
+        return to_dnf(self.model_set)
 
-def _result(tag: str, vocab: tuple[str, ...], masks, **evidence) -> MergeResult:
-    model_set = ModelSet(vocab, frozenset(masks))
-    return MergeResult(tag, model_set, to_dnf(model_set), **evidence)
 
-
-def _degenerate(tag: str, vocab: tuple[str, ...], **evidence) -> MergeResult:
-    return MergeResult(tag, ModelSet(vocab, frozenset()), FALSE,
-                       degenerate_constraint=True, **evidence)
+def _result(tag: str, vocab: tuple[str, ...], table: int, **evidence) -> MergeResult:
+    return MergeResult(tag, ModelSet(vocab, table), **evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +178,26 @@ def merge_sigma(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Keep the constraint models with the least summed distance to the KBs."""
     vocab, mu_vector, layers = _dilation_layers(profile, cap)
     if not mu_vector:
-        return _degenerate("sigma", vocab)
+        return _result("sigma", vocab, 0, degenerate_constraint=True)
     total: list[int] = []
     for balls in layers:
         total = _add(total, _distance_planes(balls))
     best, winners = _least(total, mu_vector)
-    return _result("sigma", vocab, _iter_masks(winners), k=best)
+    return _result("sigma", vocab, winners, k=best)
 
 
 def merge_max(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Keep the constraint models with the least worst-case distance."""
     vocab, mu_vector, layers = _dilation_layers(profile, cap)
     if not mu_vector:
-        return _degenerate("max", vocab)
+        return _result("max", vocab, 0, degenerate_constraint=True)
     k = 0
     while True:
         winners = mu_vector
         for balls in layers:
             winners &= _ball(balls, k)
         if winners:
-            return _result("max", vocab, _iter_masks(winners), k=k)
+            return _result("max", vocab, winners, k=k)
         k += 1
 
 
@@ -208,7 +206,7 @@ def merge_gmax(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     are lexicographically least."""
     vocab, mu_vector, layers = _dilation_layers(profile, cap)
     if not mu_vector:
-        return _degenerate("gmax", vocab)
+        return _result("gmax", vocab, 0, degenerate_constraint=True)
     # Comparing sorted vectors leximax-first is comparing, from the largest
     # k down, how many KBs lie at distance k or more.
     candidates, worst = mu_vector, []
@@ -219,7 +217,7 @@ def merge_gmax(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
         at_least_k, candidates = _least(count, candidates)
         worst.extend([k] * (at_least_k - len(worst)))
     worst.extend([0] * (len(layers) - len(worst)))
-    return _result("gmax", vocab, _iter_masks(candidates),
+    return _result("gmax", vocab, candidates,
                    distance_tuple=tuple(worst))
 
 
@@ -293,12 +291,6 @@ class _ClosureTable:
         return vector
 
 
-def _prepare(profile: Profile, cap: int):
-    vocab = profile.vocabulary
-    mu_vector = truth_vector(profile.constraint, vocab, cap)
-    return vocab, mu_vector
-
-
 def _selection_union(table: _ClosureTable, mu_vector: int,
                      counts: Sequence[int]) -> int:
     """Union over all per-KB choices of ``counts[i]`` forgotten variables of
@@ -344,56 +336,46 @@ def _descending_tuples(length: int, bound: int) -> Iterator[tuple[int, ...]]:
             yield (first, *tail)
 
 
+def _forgetting_form(profile: Profile, tag: str, cap: int, levels) -> MergeResult:
+    """Try the levels ``levels(sizes)`` yields, in order, until one is
+    consistent; ``sizes`` holds the KBs' own variable counts, and a level is
+    its evidence plus the per-KB forget counts whose unions it joins."""
+    vocab = profile.vocabulary
+    mu_vector = truth_vector(profile.constraint, vocab, cap)
+    if not mu_vector:
+        return _result(tag, vocab, 0, degenerate_constraint=True)
+    table = _ClosureTable(profile, vocab, cap)
+    for evidence, splits in levels([len(v) for v in profile.kb_variables]):
+        union = 0
+        for counts in splits:
+            union |= _selection_union(table, mu_vector, counts)
+        if union:
+            return _result(tag, vocab, union, **evidence)
+    raise AssertionError("unreachable: forgetting every variable always succeeds")
+
+
 def merge_sigma_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Sum merge rebuilt from forgetting: raise the total number of
     variables forgotten across the KBs until some split of that total makes
     the forgotten KBs jointly consistent with the constraint."""
-    vocab, mu_vector = _prepare(profile, cap)
-    if not mu_vector:
-        return _degenerate("sigma-forget", vocab)
-    table = _ClosureTable(profile, vocab, cap)
-    sizes = [len(v) for v in profile.kb_variables]
-    for k in range(sum(sizes) + 1):
-        union = 0
-        for counts in _compositions(k, sizes):
-            union |= _selection_union(table, mu_vector, counts)
-        if union:
-            return _result("sigma-forget", vocab, _iter_masks(union), k=k)
-    raise AssertionError("unreachable: forgetting every variable always succeeds")
+    return _forgetting_form(profile, "sigma-forget", cap, lambda sizes: (
+        ({"k": k}, _compositions(k, sizes)) for k in range(sum(sizes) + 1)))
 
 
 def merge_max_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Worst-case merge rebuilt from forgetting: every KB forgets the same
     number of variables, the least number that restores joint consistency."""
-    vocab, mu_vector = _prepare(profile, cap)
-    if not mu_vector:
-        return _degenerate("max-forget", vocab)
-    table = _ClosureTable(profile, vocab, cap)
-    bound = max(len(v) for v in profile.kb_variables)
-    for k in range(bound + 1):
-        union = _selection_union(table, mu_vector, (k,) * len(profile.kbs))
-        if union:
-            return _result("max-forget", vocab, _iter_masks(union), k=k)
-    raise AssertionError("unreachable: forgetting every variable always succeeds")
+    return _forgetting_form(profile, "max-forget", cap, lambda sizes: (
+        ({"k": k}, [(k,) * len(sizes)]) for k in range(max(sizes) + 1)))
 
 
 def merge_gmax_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
     """Leximax merge rebuilt from forgetting: per-KB forget counts are drawn
     from the permutations of one descending tuple, and tuples are tried in
     ascending lexicographic order until the disjunction is consistent."""
-    vocab, mu_vector = _prepare(profile, cap)
-    if not mu_vector:
-        return _degenerate("gmax-forget", vocab)
-    table = _ClosureTable(profile, vocab, cap)
-    bound = max(len(v) for v in profile.kb_variables)
-    for tup in _descending_tuples(len(profile.kbs), bound):
-        union = 0
-        for counts in sorted(set(permutations(tup))):
-            union |= _selection_union(table, mu_vector, counts)
-        if union:
-            return _result("gmax-forget", vocab, _iter_masks(union),
-                           distance_tuple=tup)
-    raise AssertionError("unreachable: forgetting every variable always succeeds")
+    return _forgetting_form(profile, "gmax-forget", cap, lambda sizes: (
+        ({"distance_tuple": tup}, sorted(set(permutations(tup))))
+        for tup in _descending_tuples(len(sizes), max(sizes))))
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +446,11 @@ def _family_merge(profile: Profile, tag: str,
                   search: Callable[[_ClosureTable, int],
                                    list[tuple[tuple[int, ...], int]]],
                   cap: int) -> MergeResult:
-    vocab, mu_vector = _prepare(profile, cap)
+    vocab = profile.vocabulary
+    mu_vector = truth_vector(profile.constraint, vocab, cap)
     if not mu_vector:
-        return _degenerate(tag, vocab, forgetting_family=())
+        return _result(tag, vocab, 0, degenerate_constraint=True,
+                       forgetting_family=())
     table = _ClosureTable(profile, vocab, cap)
     family, union = [], 0
     for chosen, vector in search(table, mu_vector):
@@ -474,7 +458,7 @@ def _family_merge(profile: Profile, tag: str,
         union |= vector
     family.sort(key=lambda chosen: (len(chosen), chosen))
     names = tuple(tuple(table.pool[i] for i in chosen) for chosen in family)
-    return _result(tag, vocab, _iter_masks(union), forgetting_family=names)
+    return _result(tag, vocab, union, forgetting_family=names)
 
 
 def merge_f1(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:

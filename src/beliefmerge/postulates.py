@@ -1,10 +1,12 @@
 """Executable rationality postulates for merge operators.
 
-Each postulate is a boolean check over one concrete instance (profile
-groups, constraints, possibly a literal); conditionals with a false
-antecedent count as satisfied.  ``check_randomized`` drives seeded random
-instances built to the postulate's preconditions and reports violations in
-a replayable serialisation.
+Each postulate is one function over one concrete instance (profile groups,
+constraints, possibly a literal).  It decides on truth tables over the
+instance's whole vocabulary and returns the two sides it compared, or
+nothing when its antecedent is false; a false antecedent counts as
+satisfied.  ``check_randomized`` drives seeded random instances built to
+the postulate's preconditions and records each violation, from the sides
+that decided it, in a replayable serialisation.
 
 Two quantifiers are necessarily truncated: the majority property searches
 its existential repetition count up to ``MAJORITY_BOUND`` and majority
@@ -17,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 from typing import Callable, Mapping, Sequence
 
 from .formula import (
@@ -42,10 +43,8 @@ from .merging import MergeResult, OPERATORS, Profile
 from .profile_io import parse_profile_parts
 from .semantics import (
     DEFAULT_VOCAB_CAP,
-    entails,
-    equivalent,
+    ModelSet,
     is_consistent,
-    models,
     truth_vector,
     vocabulary_union,
 )
@@ -88,163 +87,198 @@ class PostulateInstance:
     literal: Formula | None = None
 
 
-def _merge(operator: MergeOperator, kbs: Sequence[Formula], constraint: Formula,
-           cap: int) -> MergeResult:
-    return operator(Profile(tuple(kbs), constraint), cap=cap)
-
-
 def _negated(literal: Formula) -> Formula:
     if isinstance(literal, Not):
         return literal.child
     return Not(literal)
 
 
-def _groups_equivalent(first: Sequence[Formula], second: Sequence[Formula],
-                       cap: int) -> bool:
-    """Is there a bijection matching the groups KB-by-KB up to equivalence?"""
-    if len(first) != len(second):
-        return False
-    for perm in permutations(range(len(second))):
-        if all(equivalent(a, second[j], cap=cap) for a, j in zip(first, perm)):
-            return True
-    return False
+class _Tables:
+    """Formulas and merges of one instance as truth tables over its whole
+    vocabulary.  Variables a merge's own KBs and constraint do not mention
+    are free, so its winners are the cylinder of the narrower answer."""
+
+    def __init__(self, operator: MergeOperator, instance: PostulateInstance, cap: int):
+        literal = () if instance.literal is None else (instance.literal,)
+        kbs = [kb for group in instance.groups for kb in group]
+        self.vocabulary = vocabulary_union(*kbs, *instance.constraints, *literal)
+        self.operator, self.cap = operator, cap
+
+    def of(self, formula: Formula) -> int:
+        return truth_vector(formula, self.vocabulary, self.cap)
+
+    def merge(self, kbs: Sequence[Formula], constraint: Formula) -> int:
+        profile = Profile(tuple(kbs), constraint, self.vocabulary)
+        return self.operator(profile, cap=self.cap).model_set.table
+
+
+def _entails(first: int, second: int) -> bool:
+    return first & ~second == 0
 
 
 # ---------------------------------------------------------------------------
-# the individual checks
+# the postulates: each returns None when its antecedent is false, otherwise
+# (lhs, rhs, holds), the two tables whose comparison decides it
 
-def _check_ic0(op, inst, cap):
+
+def _ic0(inst, t):
     (group,), (mu,) = inst.groups, inst.constraints
-    return entails(_merge(op, group, mu, cap).formula, mu, cap=cap)
+    merged, bound = t.merge(group, mu), t.of(mu)
+    return merged, bound, _entails(merged, bound)
 
 
-def _check_ic1(op, inst, cap):
+def _ic1(inst, t):
     (group,), (mu,) = inst.groups, inst.constraints
-    if not is_consistent(mu, cap=cap):
-        return True
-    return len(_merge(op, group, mu, cap).model_set) > 0
+    bound = t.of(mu)
+    if not bound:
+        return None
+    merged = t.merge(group, mu)
+    return merged, bound, merged != 0
 
 
-def _check_ic2(op, inst, cap):
+def _ic2(inst, t):
     (group,), (mu,) = inst.groups, inst.constraints
-    whole = conj([*group, mu])
-    if not is_consistent(whole, cap=cap):
-        return True
-    return equivalent(_merge(op, group, mu, cap).formula, whole, cap=cap)
+    whole = t.of(conj([*group, mu]))
+    if not whole:
+        return None
+    merged = t.merge(group, mu)
+    return merged, whole, merged == whole
 
 
-def _check_ic3(op, inst, cap):
+def _ic3(inst, t):
     (g1, g2), (mu1, mu2) = inst.groups, inst.constraints
-    if not (_groups_equivalent(g1, g2, cap) and equivalent(mu1, mu2, cap=cap)):
-        return True
-    return equivalent(_merge(op, g1, mu1, cap).formula,
-                      _merge(op, g2, mu2, cap).formula, cap=cap)
+    # equal multisets of KB tables: a KB-by-KB matching up to equivalence
+    if sorted(map(t.of, g1)) != sorted(map(t.of, g2)) or t.of(mu1) != t.of(mu2):
+        return None
+    lhs, rhs = t.merge(g1, mu1), t.merge(g2, mu2)
+    return lhs, rhs, lhs == rhs
 
 
-def _check_ic4(op, inst, cap):
+def _ic4(inst, t):
     (pair,), (mu,) = inst.groups, inst.constraints
-    phi, psi = pair
-    if not (entails(phi, mu, cap=cap) and entails(psi, mu, cap=cap)):
-        return True
-    merged = _merge(op, (phi, psi), mu, cap).formula
-    if not is_consistent(conj([merged, phi]), cap=cap):
-        return True
-    return is_consistent(conj([merged, psi]), cap=cap)
+    phi, psi = map(t.of, pair)
+    if not _entails(phi | psi, t.of(mu)):
+        return None
+    merged = t.merge(pair, mu)
+    if not merged & phi:
+        return None
+    return merged & phi, merged & psi, merged & psi != 0
 
 
-def _check_ic5(op, inst, cap):
+def _ic5(inst, t):
     (g1, g2), (mu,) = inst.groups, inst.constraints
-    both = conj([_merge(op, g1, mu, cap).formula, _merge(op, g2, mu, cap).formula])
-    return entails(both, _merge(op, g1 + g2, mu, cap).formula, cap=cap)
+    both = t.merge(g1, mu) & t.merge(g2, mu)
+    joint = t.merge(g1 + g2, mu)
+    return both, joint, _entails(both, joint)
 
 
-def _check_ic6(op, inst, cap):
+def _ic6(inst, t):
     (g1, g2), (mu,) = inst.groups, inst.constraints
-    both = conj([_merge(op, g1, mu, cap).formula, _merge(op, g2, mu, cap).formula])
-    if not is_consistent(both, cap=cap):
-        return True
-    return entails(_merge(op, g1 + g2, mu, cap).formula, both, cap=cap)
+    both = t.merge(g1, mu) & t.merge(g2, mu)
+    if not both:
+        return None
+    joint = t.merge(g1 + g2, mu)
+    return joint, both, _entails(joint, both)
 
 
-def _check_ic7(op, inst, cap):
+def _ic7(inst, t):
     (group,), (mu1, mu2) = inst.groups, inst.constraints
-    narrowed = conj([_merge(op, group, mu1, cap).formula, mu2])
-    return entails(narrowed, _merge(op, group, conj([mu1, mu2]), cap).formula, cap=cap)
+    narrowed = t.merge(group, mu1) & t.of(mu2)
+    joint = t.merge(group, conj([mu1, mu2]))
+    return narrowed, joint, _entails(narrowed, joint)
 
 
-def _check_ic8(op, inst, cap):
+def _ic8(inst, t):
     (group,), (mu1, mu2) = inst.groups, inst.constraints
-    narrowed = conj([_merge(op, group, mu1, cap).formula, mu2])
-    if not is_consistent(narrowed, cap=cap):
-        return True
-    return entails(_merge(op, group, conj([mu1, mu2]), cap).formula, narrowed, cap=cap)
+    narrowed = t.merge(group, mu1) & t.of(mu2)
+    if not narrowed:
+        return None
+    joint = t.merge(group, conj([mu1, mu2]))
+    return joint, narrowed, _entails(joint, narrowed)
 
 
-def _check_maj(op, inst, cap):
+def _maj(inst, t):
+    # the evidence is the last n tried
     (g1, g2), (mu,) = inst.groups, inst.constraints
-    target = _merge(op, g2, mu, cap).formula
+    target = t.merge(g2, mu)
     for n in range(1, MAJORITY_BOUND + 1):
-        if entails(_merge(op, g1 + g2 * n, mu, cap).formula, target, cap=cap):
-            return True
-    return False
+        merged = t.merge(g1 + g2 * n, mu)
+        if _entails(merged, target):
+            return merged, target, True
+    return merged, target, False
 
 
-def _check_mi(op, inst, cap):
+def _mi(inst, t):
+    # the evidence is the first n that differs
     (g1, g2), (mu,) = inst.groups, inst.constraints
-    base = _merge(op, g1 + g2, mu, cap).formula
-    return all(equivalent(_merge(op, g1 + g2 * n, mu, cap).formula, base, cap=cap)
-               for n in MI_SAMPLES)
+    base = t.merge(g1 + g2, mu)
+    for n in MI_SAMPLES:
+        merged = t.merge(g1 + g2 * n, mu)
+        if merged != base:
+            return merged, base, False
+    return merged, base, True
 
 
-def _check_a1(op, inst, cap):
+def _a1(inst, t):
     (special, rest), (mu,) = inst.groups, inst.constraints
     literal = inst.literal
     if literal is None or not special:
-        return True
-    if any(not entails(kb, literal, cap=cap) for kb in special):
-        return True
+        return None
+    fixed = t.of(literal)
+    if any(not _entails(t.of(kb), fixed) for kb in special):
+        return None
     if set(variables(literal)) & set(vocabulary_union(*rest)):
-        return True
-    if not is_consistent(conj([literal, mu]), cap=cap):
-        return True
-    merged = _merge(op, special + rest, mu, cap).formula
-    return entails(merged, conj([literal, mu]), cap=cap)
+        return None
+    bound = fixed & t.of(mu)
+    if not bound:
+        return None
+    merged = t.merge(special + rest, mu)
+    return merged, bound, _entails(merged, bound)
 
 
-def _check_a2(op, inst, cap):
+def _a2(inst, t):
     (group,), (mu,) = inst.groups, inst.constraints
-    literal = inst.literal
-    if literal is None:
-        return True
-    opposite = _negated(literal)
-    if not (any(entails(kb, literal, cap=cap) for kb in group)
-            and any(entails(kb, opposite, cap=cap) for kb in group)):
-        return True
-    merged = _merge(op, group, mu, cap).formula
-    return not entails(merged, literal, cap=cap) and not entails(merged, opposite, cap=cap)
+    if inst.literal is None:
+        return None
+    fixed, opposite = t.of(inst.literal), t.of(_negated(inst.literal))
+    kbs = list(map(t.of, group))
+    if not (any(_entails(kb, fixed) for kb in kbs)
+            and any(_entails(kb, opposite) for kb in kbs)):
+        return None
+    merged = t.merge(group, mu)
+    return merged, fixed, not _entails(merged, fixed) and not _entails(merged, opposite)
 
 
-_CHECKS: Mapping[PostulateId, Callable] = {
-    PostulateId.IC0: _check_ic0,
-    PostulateId.IC1: _check_ic1,
-    PostulateId.IC2: _check_ic2,
-    PostulateId.IC3: _check_ic3,
-    PostulateId.IC4: _check_ic4,
-    PostulateId.IC5: _check_ic5,
-    PostulateId.IC6: _check_ic6,
-    PostulateId.IC7: _check_ic7,
-    PostulateId.IC8: _check_ic8,
-    PostulateId.MAJ: _check_maj,
-    PostulateId.MI: _check_mi,
-    PostulateId.A1: _check_a1,
-    PostulateId.A2: _check_a2,
+_POSTULATES: Mapping[PostulateId, Callable] = {
+    PostulateId.IC0: _ic0,
+    PostulateId.IC1: _ic1,
+    PostulateId.IC2: _ic2,
+    PostulateId.IC3: _ic3,
+    PostulateId.IC4: _ic4,
+    PostulateId.IC5: _ic5,
+    PostulateId.IC6: _ic6,
+    PostulateId.IC7: _ic7,
+    PostulateId.IC8: _ic8,
+    PostulateId.MAJ: _maj,
+    PostulateId.MI: _mi,
+    PostulateId.A1: _a1,
+    PostulateId.A2: _a2,
 }
+
+
+def _decide(postulate: PostulateId, operator: MergeOperator,
+            instance: PostulateInstance, cap: int):
+    """The instance's vocabulary and the postulate's outcome over it."""
+    tables = _Tables(operator, instance, cap)
+    return tables.vocabulary, _POSTULATES[postulate](instance, tables)
 
 
 def check(postulate: PostulateId, operator: MergeOperator,
           instance: PostulateInstance, cap: int = DEFAULT_VOCAB_CAP) -> bool:
-    """Truth of one postulate on one instance, via the semantics oracle."""
-    return _CHECKS[postulate](operator, instance, cap)
+    """Truth of one postulate on one instance; a false antecedent counts
+    as satisfied."""
+    _, outcome = _decide(postulate, operator, instance, cap)
+    return outcome is None or outcome[2]
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +400,15 @@ def _rewrite_structure(formula: Formula, rng: random.Random) -> Formula:
         return formula
     if isinstance(formula, Not):
         child = formula.child
-        if isinstance(child, And) and roll < 0.5:
-            return Or(tuple(Not(_rewrite_structure(c, rng)) for c in child.children))
-        if isinstance(child, Or) and roll < 0.5:
-            return And(tuple(Not(_rewrite_structure(c, rng)) for c in child.children))
+        if isinstance(child, (And, Or)) and roll < 0.5:
+            dual = Or if isinstance(child, And) else And
+            return dual(tuple(Not(_rewrite_structure(c, rng)) for c in child.children))
         return Not(_rewrite_structure(child, rng))
-    if isinstance(formula, And):
+    if isinstance(formula, (And, Or)):
         parts = [_rewrite_structure(c, rng) for c in formula.children]
         if roll < 0.5:
             parts.reverse()
-        return And(tuple(parts))
-    if isinstance(formula, Or):
-        parts = [_rewrite_structure(c, rng) for c in formula.children]
-        if roll < 0.5:
-            parts.reverse()
-        return Or(tuple(parts))
+        return type(formula)(tuple(parts))
     if isinstance(formula, Implies):
         lhs = _rewrite_structure(formula.lhs, rng)
         rhs = _rewrite_structure(formula.rhs, rng)
@@ -485,14 +513,14 @@ class CheckReport:
     operator: str
     trials: int
     violations: tuple[dict, ...]
-    verdict: str
 
-    def __post_init__(self):
-        expected = "fail" if self.violations else (
-            "bounded-pass" if self.postulate in (PostulateId.MAJ, PostulateId.MI)
-            else "pass")
-        if self.verdict != expected:
-            raise ValueError(f"verdict {self.verdict!r} contradicts the violations")
+    @property
+    def verdict(self) -> str:
+        if self.violations:
+            return "fail"
+        if self.postulate in (PostulateId.MAJ, PostulateId.MI):
+            return "bounded-pass"
+        return "pass"
 
 
 def check_randomized(postulate: PostulateId, operator: str, trials: int,
@@ -500,18 +528,18 @@ def check_randomized(postulate: PostulateId, operator: str, trials: int,
                      cap: int = DEFAULT_VOCAB_CAP) -> CheckReport:
     """Run ``trials`` seeded random instances of one postulate against one
     operator.  Deterministic for fixed bounds; trial i draws its randomness
-    from (seed, i) alone."""
+    from (seed, i) alone.  Each violation is recorded from the outcome that
+    decided it, with no second run."""
     op = OPERATORS[operator]
     violations = []
     for trial in range(trials):
         rng = _trial_rng(bounds.seed, trial)
         instance = instance_for(postulate, bounds, rng, cap)
-        if not check(postulate, op, instance, cap=cap):
-            violations.append(serialize_violation(postulate, operator, trial,
-                                                  instance, cap=cap))
-    verdict = "fail" if violations else (
-        "bounded-pass" if postulate in (PostulateId.MAJ, PostulateId.MI) else "pass")
-    return CheckReport(postulate, operator, trials, tuple(violations), verdict)
+        vocab, outcome = _decide(postulate, op, instance, cap)
+        if outcome is not None and not outcome[2]:
+            violations.append(_record(postulate, operator, trial, instance,
+                                      vocab, outcome))
+    return CheckReport(postulate, operator, trials, tuple(violations))
 
 
 def _group_text(kbs: Sequence[Formula], constraint: Formula) -> str:
@@ -520,54 +548,23 @@ def _group_text(kbs: Sequence[Formula], constraint: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sides(postulate: PostulateId, operator: MergeOperator,
-           inst: PostulateInstance, cap: int) -> tuple[Formula, Formula]:
-    """The two formulas whose comparison decides the postulate; stored with
-    violations as evidence."""
-    P = PostulateId
-    groups, cons = inst.groups, inst.constraints
-    if postulate in (P.IC0, P.IC1):
-        return _merge(operator, groups[0], cons[0], cap).formula, cons[0]
-    if postulate == P.IC2:
-        return _merge(operator, groups[0], cons[0], cap).formula, conj([*groups[0], cons[0]])
-    if postulate == P.IC3:
-        return (_merge(operator, groups[0], cons[0], cap).formula,
-                _merge(operator, groups[1], cons[1], cap).formula)
-    if postulate == P.IC4:
-        merged = _merge(operator, groups[0], cons[0], cap).formula
-        return conj([merged, groups[0][0]]), conj([merged, groups[0][1]])
-    if postulate in (P.IC5, P.IC6):
-        both = conj([_merge(operator, groups[0], cons[0], cap).formula,
-                     _merge(operator, groups[1], cons[0], cap).formula])
-        joint = _merge(operator, groups[0] + groups[1], cons[0], cap).formula
-        return (both, joint) if postulate == P.IC5 else (joint, both)
-    if postulate in (P.IC7, P.IC8):
-        narrowed = conj([_merge(operator, groups[0], cons[0], cap).formula, cons[1]])
-        joint = _merge(operator, groups[0], conj([cons[0], cons[1]]), cap).formula
-        return (narrowed, joint) if postulate == P.IC7 else (joint, narrowed)
-    if postulate == P.MAJ:
-        return (_merge(operator, groups[0] + groups[1] * MAJORITY_BOUND, cons[0], cap).formula,
-                _merge(operator, groups[1], cons[0], cap).formula)
-    if postulate == P.MI:
-        return (_merge(operator, groups[0] + groups[1] * MI_SAMPLES[0], cons[0], cap).formula,
-                _merge(operator, groups[0] + groups[1], cons[0], cap).formula)
-    if postulate == P.A1:
-        assert inst.literal is not None
-        return (_merge(operator, groups[0] + groups[1], cons[0], cap).formula,
-                conj([inst.literal, cons[0]]))
-    if postulate == P.A2:
-        assert inst.literal is not None
-        return _merge(operator, groups[0], cons[0], cap).formula, inst.literal
-    raise ValueError(f"no sides for {postulate}")
-
-
 def serialize_violation(postulate: PostulateId, operator: str, trial: int,
                         instance: PostulateInstance,
                         cap: int = DEFAULT_VOCAB_CAP) -> dict:
     """JSON-friendly record of a violating instance: each KB group in the
-    profile file format, both evaluated sides as model lists."""
-    lhs, rhs = _sides(postulate, OPERATORS[operator], instance, cap)
-    vocab = vocabulary_union(lhs, rhs)
+    profile file format, both decided sides as model lists over the
+    instance's vocabulary.  An instance whose antecedent is false has no
+    sides and raises ``ValueError``."""
+    vocab, outcome = _decide(postulate, OPERATORS[operator], instance, cap)
+    if outcome is None:
+        raise ValueError(f"the {postulate.value} antecedent is false on this instance")
+    return _record(postulate, operator, trial, instance, vocab, outcome)
+
+
+def _record(postulate: PostulateId, operator: str, trial: int,
+            instance: PostulateInstance, vocab: tuple[str, ...],
+            outcome: tuple[int, int, bool]) -> dict:
+    lhs, rhs, _ = outcome
     return {
         "postulate": postulate.value,
         "operator": operator,
@@ -577,8 +574,8 @@ def serialize_violation(postulate: PostulateId, operator: str, trial: int,
         "constraints": [format_formula(c) for c in instance.constraints],
         "literal": None if instance.literal is None else format_formula(instance.literal),
         "vocabulary": list(vocab),
-        "lhs_models": models(lhs, vocab, cap).bitstrings(),
-        "rhs_models": models(rhs, vocab, cap).bitstrings(),
+        "lhs_models": ModelSet(vocab, lhs).bitstrings(),
+        "rhs_models": ModelSet(vocab, rhs).bitstrings(),
     }
 
 

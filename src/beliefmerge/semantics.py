@@ -103,9 +103,6 @@ class Interpretation:
         bits[j] ^= 1
         return Interpretation(self.vocabulary, tuple(bits))
 
-    def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
     def __str__(self) -> str:
         return " ".join(f"{v}={b}" for v, b in zip(self.vocabulary, self.bits))
 
@@ -114,35 +111,38 @@ class Interpretation:
 class ModelSet:
     """The set of interpretations over one vocabulary satisfying a formula.
 
-    Members are stored as assignment masks; iteration yields
-    :class:`Interpretation` objects in increasing binary value.
+    Held as its truth table: bit m of ``table`` is set iff assignment m is a
+    member.  Iteration yields :class:`Interpretation` objects in increasing
+    binary value.
     """
 
     vocabulary: tuple[str, ...]
-    masks: frozenset[int]
+    table: int
 
     def __post_init__(self):
         object.__setattr__(self, "vocabulary", _checked_vocabulary(self.vocabulary))
-        object.__setattr__(self, "masks", frozenset(self.masks))
-        limit = 1 << len(self.vocabulary)
-        if any(not 0 <= m < limit for m in self.masks):
-            raise ValueError("member mask out of range for the vocabulary")
+        if self.table < 0 or self.table.bit_length() > 1 << len(self.vocabulary):
+            raise ValueError("truth table out of range for the vocabulary")
+
+    @property
+    def masks(self) -> frozenset[int]:
+        return frozenset(_iter_masks(self.table))
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self.table.bit_count()
 
     def __iter__(self) -> Iterator[Interpretation]:
-        for mask in sorted(self.masks):
+        for mask in _iter_masks(self.table):
             yield Interpretation.from_mask(self.vocabulary, mask)
 
     def __contains__(self, interpretation: object) -> bool:
         return (isinstance(interpretation, Interpretation)
                 and interpretation.vocabulary == self.vocabulary
-                and interpretation.mask in self.masks)
+                and self.table >> interpretation.mask & 1 == 1)
 
     def bitstrings(self) -> list[str]:
         n = len(self.vocabulary)
-        return [format(mask, f"0{n}b") if n else "" for mask in sorted(self.masks)]
+        return [format(mask, f"0{n}b") if n else "" for mask in _iter_masks(self.table)]
 
 
 def vocabulary_union(*formulas: Formula, extra: Iterable[str] = ()) -> tuple[str, ...]:
@@ -271,8 +271,7 @@ def models(formula: Formula, vocabulary: Iterable[str] | None = None,
     """All interpretations over ``vocabulary`` (default: the formula's own
     variables) that satisfy ``formula``."""
     vocab = _checked_vocabulary(vocabulary) if vocabulary is not None else variables(formula)
-    vector = truth_vector(formula, vocab, cap)
-    return ModelSet(vocab, frozenset(_iter_masks(vector)))
+    return ModelSet(vocab, truth_vector(formula, vocab, cap))
 
 
 def is_consistent(formula: Formula, cap: int = DEFAULT_VOCAB_CAP) -> bool:
@@ -314,22 +313,13 @@ def formula_distance(first: Formula, second: Formula,
 def entails(first: Formula, second: Formula, cap: int = DEFAULT_VOCAB_CAP) -> bool:
     """Model-set inclusion over the union vocabulary."""
     vocab = vocabulary_union(first, second)
-    space, patterns = _space_for(vocab, cap)
-    return _vector(first, space, patterns) & (space ^ _vector(second, space, patterns)) == 0
+    return truth_vector(first, vocab, cap) & ~truth_vector(second, vocab, cap) == 0
 
 
 def equivalent(first: Formula, second: Formula, cap: int = DEFAULT_VOCAB_CAP) -> bool:
     """Model-set equality over the union vocabulary."""
     vocab = vocabulary_union(first, second)
-    space, patterns = _space_for(vocab, cap)
-    return _vector(first, space, patterns) == _vector(second, space, patterns)
-
-
-def _space_for(vocab: tuple[str, ...], cap: int) -> tuple[int, dict[str, int]]:
-    if len(vocab) > cap:
-        raise VocabularyCapError(
-            f"{len(vocab)} variables exceed the enumeration cap of {cap}")
-    return _assignment_space(vocab)
+    return truth_vector(first, vocab, cap) == truth_vector(second, vocab, cap)
 
 
 def to_dnf(model_set: ModelSet) -> Formula:
@@ -339,12 +329,12 @@ def to_dnf(model_set: ModelSet) -> Formula:
     bits; the empty set becomes ``false`` and the empty vocabulary's single
     assignment becomes ``true``.
     """
-    if not model_set.masks:
+    if not model_set.table:
         return FALSE
     vocab = model_set.vocabulary
     n = len(vocab)
     terms: list[Formula] = []
-    for mask in sorted(model_set.masks):
+    for mask in _iter_masks(model_set.table):
         literals: list[Formula] = [
             Atom(name) if (mask >> (n - 1 - j)) & 1 else Not(Atom(name))
             for j, name in enumerate(vocab)

@@ -3,8 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from beliefmerge import Profile, models, parse, replay_violation
 from beliefmerge.cli import main
+from beliefmerge.formula import MAX_DEPTH
 from beliefmerge.merging import OPERATORS, merge_sigma
 
 CO_OWNERS_F1_DNF = ("!I & !P & !S & !T | !I & !P & !S & T"
@@ -156,6 +159,22 @@ class TestFormulaCommands:
         code, _, err = invoke(capsys, "equiv", "p &", "q")
         assert code == 2
         assert "column" in err
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 3000 + "p" + ")" * 3000,
+        "!" * 5000 + "p",
+        " <-> ".join(["p"] * 2000),
+        " -> ".join(["p"] * 2000),
+    ])
+    def test_too_deep_formula_exit_2(self, capsys, deep):
+        code, out, err = invoke(capsys, "equiv", deep, "p")
+        assert code == 2
+        assert out == ""
+        assert "nested deeper than" in err
+
+    def test_formula_inside_the_depth_bound(self, capsys):
+        code, out, _ = invoke(capsys, "equiv", "!" * MAX_DEPTH + "p", "p")
+        assert (code, out) == (0, "equivalent\n")
 
 
 class TestCheck:

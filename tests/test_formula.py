@@ -21,6 +21,7 @@ from beliefmerge import (
     substitute,
     variables,
 )
+from beliefmerge.formula import MAX_DEPTH
 from beliefmerge.postulates import VAR_POOL, random_formula
 from beliefmerge.semantics import equivalent
 
@@ -91,6 +92,18 @@ class TestParse:
         assert info.value.line == line
         assert info.value.column == column
         assert f"line {line}, column {column}" in str(info.value)
+
+    @pytest.mark.parametrize("nest", [
+        lambda depth: "!" * depth + "p",
+        lambda depth: "(" * (depth - 1) + "p | q" + ")" * (depth - 1),
+        lambda depth: " <-> ".join(["p"] * (depth + 1)),
+        lambda depth: " -> ".join(["p"] * (depth + 1)),
+    ])
+    def test_depth_bound(self, nest):
+        inside = parse(nest(MAX_DEPTH))
+        assert parse(format_formula(inside)) == inside
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse(nest(MAX_DEPTH + 1))
 
 
 class TestPrint:

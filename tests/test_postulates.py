@@ -29,7 +29,9 @@ from beliefmerge import (
     variables,
 )
 from beliefmerge.merging import OPERATORS
+from beliefmerge.semantics import DEFAULT_VOCAB_CAP
 from beliefmerge.postulates import (
+    _decide,
     _trial_rng,
     equivalent_rewrite,
     instance_from_record,
@@ -82,6 +84,20 @@ class TestHandInstances:
                                  (parse("true"), parse("true")))
         for op in OPERATORS.values():
             assert check(PostulateId.IC3, op, inst)
+
+    def test_ic3_matches_kb_multisets(self):
+        true = parse("true")
+        same = PostulateInstance(((parse("p"), parse("p | q"), parse("p")),
+                                  (parse("p | q"), parse("p"), parse("p"))),
+                                 (true, true))
+        # same KBs, other multiplicities: the antecedent is false
+        recounted = PostulateInstance(((parse("p"), parse("p"), parse("q")),
+                                       (parse("p"), parse("q"), parse("q"))),
+                                      (true, true))
+        for op in OPERATORS.values():
+            _, outcome = _decide(PostulateId.IC3, op, same, DEFAULT_VOCAB_CAP)
+            assert outcome is not None and outcome[2]
+            assert _decide(PostulateId.IC3, op, recounted, DEFAULT_VOCAB_CAP)[1] is None
 
 
 class TestGenerators:
@@ -176,10 +192,9 @@ class TestRandomizedSuites:
         assert replay_violation(json.loads(json.dumps(record)))
 
     def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            CheckReport(PostulateId.IC0, "sigma", 10, (), "fail")
-        with pytest.raises(ValueError):
-            CheckReport(PostulateId.MAJ, "sigma", 10, (), "pass")
+        assert CheckReport(PostulateId.IC0, "sigma", 10, ({},)).verdict == "fail"
+        assert CheckReport(PostulateId.IC0, "sigma", 10, ()).verdict == "pass"
+        assert CheckReport(PostulateId.MAJ, "sigma", 10, ()).verdict == "bounded-pass"
 
     def test_sampled_matrix_rows(self):
         # one claimed-pass cell per operator at a reduced budget; the full
@@ -218,3 +233,17 @@ class TestSerialization:
         assert record["vocabulary"] == ["I", "P", "S", "T"]
         assert record["literal"] == "!I"
         assert replay_violation(record)  # sigma really does violate A1 here
+
+    def test_vacuous_instance_has_no_record(self):
+        inst = PostulateInstance(((parse("p"),), (parse("q"),)),
+                                 (parse("true"), parse("true")))
+        with pytest.raises(ValueError, match="antecedent is false"):
+            serialize_violation(PostulateId.IC3, "sigma", 0, inst)
+
+    def test_mi_records_keep_the_sample_that_failed(self):
+        # trial 8 holds for n = 2 copies and fails for n = 3
+        bounds = GeneratorBounds(max_vars=4, max_kbs=3, seed=0)
+        report = check_randomized(PostulateId.MI, "sigma", 15, bounds)
+        assert 8 in [record["trial"] for record in report.violations]
+        for record in report.violations:
+            assert record["lhs_models"] != record["rhs_models"], record["trial"]

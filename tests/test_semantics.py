@@ -190,14 +190,14 @@ class TestFormulaDistance:
 
 class TestToDnf:
     def test_fixed_points(self):
-        assert to_dnf(ModelSet(("p",), frozenset())) == FALSE
+        assert to_dnf(ModelSet(("p",), 0)) == FALSE
         single = models(parse("p & !q"), ("p", "q"))
         assert to_dnf(single) == parse("p & !q")
         both = models(TRUE, ("p",))
         assert to_dnf(both) == parse("!p | p")
 
     def test_empty_vocabulary(self):
-        assert to_dnf(ModelSet((), frozenset({0}))) == TRUE
+        assert to_dnf(ModelSet((), 0b1)) == TRUE
 
     def test_equivalence_on_random_formulas(self):
         rng = random.Random("dnf")
@@ -214,3 +214,14 @@ class TestModelSet:
         assert interp(p=1, q=0) in ms
         assert interp(p=0, q=0) not in ms
         assert ms.bitstrings() == ["01", "10", "11"]
+
+    def test_table_range_is_checked(self):
+        with pytest.raises(ValueError):
+            ModelSet(("p",), -1)
+        with pytest.raises(ValueError):
+            ModelSet(("p",), 0b10000)
+        with pytest.raises(ValueError):
+            ModelSet(("p",), 0b100)  # two assignments, three bits
+        both = ModelSet(("p",), 0b11)
+        assert len(both) == 2
+        assert both.bitstrings() == ["0", "1"]
