@@ -7,8 +7,9 @@ invocations; diagnostics and warnings go to stderr.  Exit codes:
     1  a claimed-pass postulate cell recorded a violation
     2  parse error (formula or profile file), including a formula nested
        deeper than ``formula.MAX_DEPTH`` levels
-    3  invalid input: inconsistent KB, vocabulary cap, bad bounds, or a
-       file that cannot be read or written
+    3  invalid input: inconsistent KB, a vocabulary over the cap, a
+       ``--max-vocab`` outside 0..``semantics.MAX_VOCAB_CAP``, bad bounds,
+       or a file that cannot be read or written
     4  inconsistent integrity constraint (degenerate false result printed)
     5  the two formulas of ``equiv`` are not equivalent
 """
@@ -37,6 +38,7 @@ from .semantics import (
     DEFAULT_VOCAB_CAP,
     InconsistentFormulaError,
     Interpretation,
+    MAX_VOCAB_CAP,
     MERGE_WARN_VARS,
     UnknownVariableError,
     VocabularyCapError,
@@ -66,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     merge.add_argument("-f", "--input", required=True, help="profile file")
     merge.add_argument("-o", "--operator", required=True, choices=sorted(OPERATORS))
     merge.add_argument("--format", choices=("dnf", "models", "table"), default="dnf")
-    merge.add_argument("--max-vocab", type=int, default=DEFAULT_VOCAB_CAP)
     merge.set_defaults(func=_cmd_merge)
 
     forget_cmd = sub.add_parser("forget", help="forget variables in a formula")
@@ -74,20 +75,17 @@ def _build_parser() -> argparse.ArgumentParser:
     forget_cmd.add_argument("-f", "--input", help="file holding one formula")
     forget_cmd.add_argument("--vars", required=True,
                             help="comma-separated variables to forget")
-    forget_cmd.add_argument("--max-vocab", type=int, default=DEFAULT_VOCAB_CAP)
     forget_cmd.set_defaults(func=_cmd_forget)
 
     dilate_cmd = sub.add_parser("dilate", help="grow a formula's models by distance n")
     dilate_cmd.add_argument("formula", nargs="?", help="formula text")
     dilate_cmd.add_argument("-f", "--input", help="file holding one formula")
     dilate_cmd.add_argument("-n", type=int, required=True, help="distance bound")
-    dilate_cmd.add_argument("--max-vocab", type=int, default=DEFAULT_VOCAB_CAP)
     dilate_cmd.set_defaults(func=_cmd_dilate)
 
     equiv = sub.add_parser("equiv", help="decide equivalence of two formulas")
     equiv.add_argument("left")
     equiv.add_argument("right")
-    equiv.add_argument("--max-vocab", type=int, default=DEFAULT_VOCAB_CAP)
     equiv.set_defaults(func=_cmd_equiv)
 
     check = sub.add_parser("check", help="run randomized postulate suites")
@@ -99,15 +97,18 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--max-kbs", type=int, default=3)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--report", help="write violation records to this JSON file")
-    check.add_argument("--max-vocab", type=int, default=DEFAULT_VOCAB_CAP)
     check.set_defaults(func=_cmd_check)
 
+    for command in sub.choices.values():
+        command.add_argument("--max-vocab", type=int, default=DEFAULT_VOCAB_CAP)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if not 0 <= args.max_vocab <= MAX_VOCAB_CAP:
+            raise ValueError(f"--max-vocab must be between 0 and {MAX_VOCAB_CAP}")
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -127,12 +128,12 @@ def run() -> None:
 
 def _cmd_merge(args) -> int:
     with open(args.input, encoding="utf-8") as handle:
-        profile = parse_profile(handle.read())
+        profile = parse_profile(handle.read(), cap=args.max_vocab)
     if len(profile.vocabulary) > MERGE_WARN_VARS:
         print(f"warning: merging over {len(profile.vocabulary)} variables "
               f"enumerates 2^{len(profile.vocabulary)} assignments",
               file=sys.stderr)
-    result = OPERATORS[args.operator](profile, cap=args.max_vocab)
+    result = OPERATORS[args.operator](profile)
     print(_render(result, args.format))
     _print_evidence(result)
     if result.degenerate_constraint:

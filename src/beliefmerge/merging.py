@@ -8,12 +8,14 @@ two constructions are provably equivalent and the tests hold them to it.
 The last two operators, f1 and f2, forget one *shared* variable set from
 every KB, minimal by cardinality (f1) or by set inclusion (f2).
 
-All searches run over switch-closures of truth tables, which is exactly
-the model characterisation of forgetting; the syntactic ``forget`` in
-:mod:`beliefmerge.forgetting` is the operator the closure is validated
-against.  Each distinct KB memoises its closures by a mask over its own
-variables.  Forgetting more never loses consistency, so f2 finds its
-minimal sets by joint generation: it tests the largest sets that contain
+A :class:`Profile` compiles its KBs and constraint to truth tables once,
+and the operators read only those.  All searches run over switch-closures
+of truth tables, which is exactly the model characterisation of
+forgetting; the syntactic ``forget`` in :mod:`beliefmerge.forgetting` is
+the operator the closure is validated against.  Each distinct KB memoises
+its closures by a vocabulary mask (bit j: ``vocabulary[j]``) restricted
+to its own variables.  Forgetting more never loses consistency, so f2
+finds its minimal sets by joint generation: it tests the largest sets that contain
 no set found so far (complements of minimal hitting sets) and shrinks
 any that succeeds.  f1 stays level-wise by size, which bounds its cost by
 the size of its answer.
@@ -22,9 +24,10 @@ the size of its answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, permutations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import or_
+from typing import Callable, Iterator, Sequence
 
 from .formula import Formula, TRUE, variables
 from .semantics import (
@@ -54,27 +57,39 @@ class Profile:
     Repetition is meaningful: majority-sensitive operators react to it.
     Every KB must be consistent (checked here); the constraint may be
     inconsistent, in which case merging degenerates to ``false``.
+
+    Construction refuses a vocabulary wider than ``cap``, then compiles
+    the KBs and the constraint to truth tables over it.  ``kb_masks`` holds
+    each KB's own variables as a mask, bit j standing for ``vocabulary[j]``.
     """
 
     kbs: tuple[Formula, ...]
     constraint: Formula = TRUE
     extra_vars: tuple[str, ...] = ()
+    cap: int = field(default=DEFAULT_VOCAB_CAP, compare=False, repr=False)
     # derived once at construction; identical for equal profiles
     vocabulary: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    kb_variables: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
+    constraint_table: int = field(init=False, compare=False, repr=False)
+    kb_tables: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    kb_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kbs", tuple(self.kbs))
         object.__setattr__(self, "extra_vars", tuple(self.extra_vars))
         if not self.kbs:
             raise ValueError("a profile needs at least one knowledge base")
-        kb_variables = tuple(variables(kb) for kb in self.kbs)
-        for index, (kb, names) in enumerate(zip(self.kbs, kb_variables)):
-            if not truth_vector(kb, names):
-                raise InconsistentKBError(index)
-        object.__setattr__(self, "kb_variables", kb_variables)
-        merged = set(self.extra_vars).union(variables(self.constraint), *kb_variables)
-        object.__setattr__(self, "vocabulary", tuple(sorted(merged)))
+        own = [variables(kb) for kb in self.kbs]
+        vocab = tuple(sorted(set(self.extra_vars).union(variables(self.constraint), *own)))
+        tables = tuple(truth_vector(kb, vocab, self.cap) for kb in self.kbs)
+        if 0 in tables:
+            raise InconsistentKBError(tables.index(0))
+        bit = {name: 1 << j for j, name in enumerate(vocab)}
+        object.__setattr__(self, "vocabulary", vocab)
+        object.__setattr__(self, "constraint_table",
+                           truth_vector(self.constraint, vocab, self.cap))
+        object.__setattr__(self, "kb_tables", tables)
+        object.__setattr__(self, "kb_masks",
+                           tuple(sum(bit[name] for name in names) for names in own))
 
 
 @dataclass(frozen=True)
@@ -95,8 +110,8 @@ class MergeResult:
         return to_dnf(self.model_set)
 
 
-def _result(tag: str, vocab: tuple[str, ...], table: int, **evidence) -> MergeResult:
-    return MergeResult(tag, ModelSet(vocab, table), **evidence)
+def _result(tag: str, profile: Profile, table: int, **evidence) -> MergeResult:
+    return MergeResult(tag, ModelSet(profile.vocabulary, table), **evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +123,19 @@ def _result(tag: str, vocab: tuple[str, ...], table: int, **evidence) -> MergeRe
 # list of truth tables, least significant plane first, and bit m of plane j
 # is bit j of assignment m's value.
 
-def _dilation_layers(profile: Profile, cap: int):
-    """Constraint table and, per KB position, the balls ``balls[k]`` of
-    radius k around that KB, grown until the last covers the constraint.
-    Repeated KBs share one list."""
-    vocab = profile.vocabulary
-    mu_vector = truth_vector(profile.constraint, vocab, cap)
-    if not mu_vector:
-        return vocab, 0, []
-    space, patterns = _assignment_space(vocab)
-    grown: dict[Formula, list[int]] = {}
-    for kb in profile.kbs:
-        if kb not in grown:
-            balls = [truth_vector(kb, vocab, cap)]
-            while mu_vector & ~balls[-1]:
+def _dilation_layers(profile: Profile) -> list[list[int]]:
+    """Per KB position, the balls ``balls[k]`` of radius k around that KB,
+    grown until the last covers the constraint.  KBs with equal tables
+    share one list."""
+    space, patterns = _assignment_space(profile.vocabulary)
+    grown: dict[int, list[int]] = {}
+    for table in profile.kb_tables:
+        if table not in grown:
+            balls = [table]
+            while profile.constraint_table & ~balls[-1]:
                 balls.append(_dilate_once(balls[-1], space, patterns))
-            grown[kb] = balls
-    return vocab, mu_vector, [grown[kb] for kb in profile.kbs]
+            grown[table] = balls
+    return [grown[table] for table in profile.kb_tables]
 
 
 def _ball(balls: list[int], k: int) -> int:
@@ -174,39 +185,41 @@ def _least(planes: list[int], candidates: int) -> tuple[int, int]:
     return value, candidates
 
 
-def merge_sigma(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
+def merge_sigma(profile: Profile) -> MergeResult:
     """Keep the constraint models with the least summed distance to the KBs."""
-    vocab, mu_vector, layers = _dilation_layers(profile, cap)
+    mu_vector = profile.constraint_table
     if not mu_vector:
-        return _result("sigma", vocab, 0, degenerate_constraint=True)
+        return _result("sigma", profile, 0, degenerate_constraint=True)
     total: list[int] = []
-    for balls in layers:
+    for balls in _dilation_layers(profile):
         total = _add(total, _distance_planes(balls))
     best, winners = _least(total, mu_vector)
-    return _result("sigma", vocab, winners, k=best)
+    return _result("sigma", profile, winners, k=best)
 
 
-def merge_max(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
+def merge_max(profile: Profile) -> MergeResult:
     """Keep the constraint models with the least worst-case distance."""
-    vocab, mu_vector, layers = _dilation_layers(profile, cap)
+    mu_vector = profile.constraint_table
     if not mu_vector:
-        return _result("max", vocab, 0, degenerate_constraint=True)
+        return _result("max", profile, 0, degenerate_constraint=True)
+    layers = _dilation_layers(profile)
     k = 0
     while True:
         winners = mu_vector
         for balls in layers:
             winners &= _ball(balls, k)
         if winners:
-            return _result("max", vocab, winners, k=k)
+            return _result("max", profile, winners, k=k)
         k += 1
 
 
-def merge_gmax(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
+def merge_gmax(profile: Profile) -> MergeResult:
     """Keep the constraint models whose descending-sorted distance vectors
     are lexicographically least."""
-    vocab, mu_vector, layers = _dilation_layers(profile, cap)
+    mu_vector = profile.constraint_table
     if not mu_vector:
-        return _result("gmax", vocab, 0, degenerate_constraint=True)
+        return _result("gmax", profile, 0, degenerate_constraint=True)
+    layers = _dilation_layers(profile)
     # Comparing sorted vectors leximax-first is comparing, from the largest
     # k down, how many KBs lie at distance k or more.
     candidates, worst = mu_vector, []
@@ -217,42 +230,31 @@ def merge_gmax(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
         at_least_k, candidates = _least(count, candidates)
         worst.extend([k] * (at_least_k - len(worst)))
     worst.extend([0] * (len(layers) - len(worst)))
-    return _result("gmax", vocab, candidates,
-                   distance_tuple=tuple(worst))
+    return _result("gmax", profile, candidates, distance_tuple=tuple(worst))
 
 
 # ---------------------------------------------------------------------------
 # forgetting-based forms
 
 class _ClosureTable:
-    """Per distinct KB, its truth table and switch-closures of it, memoised
-    by a mask over the KB's own variables (bit j: its j-th variable in
-    sorted order).  Closing a table under flips of V is the model-level form
-    of forgetting V.
+    """Per distinct KB (equal table and own variables), switch-closures of
+    its truth table, memoised by a mask over the vocabulary (bit j:
+    ``vocabulary[j]``) restricted to the KB's own variables.  Closing a
+    table under flips of V is the model-level form of forgetting V.
+    Variables foreign to a KB are flip-free in its table, so a shared
+    forgotten set projects onto each KB as ``mask & own``."""
 
-    A shared forgotten set is given as indices into ``pool``, the sorted
-    variables of all KBs; ``owners[i]`` lists the (distinct KB, own bit)
-    pairs that pool variable i projects to.  Variables foreign to a KB are
-    flip-free in it and project nowhere."""
-
-    def __init__(self, profile: Profile, vocab: tuple[str, ...], cap: int):
-        self.space, patterns = _assignment_space(vocab)
-        n = len(vocab)
-        weights = {name: 1 << (n - 1 - j) for j, name in enumerate(vocab)}
-        own = dict(zip(profile.kbs, profile.kb_variables))
-        distinct = list(own)
-        where = {kb: index for index, kb in enumerate(distinct)}
-        self.position = [where[kb] for kb in profile.kbs]
-        self.own_vars = [own[kb] for kb in distinct]
-        self._flips = [[(weights[name], patterns[name]) for name in names]
-                       for names in self.own_vars]
-        self._memo = [{0: truth_vector(kb, vocab, cap)} for kb in distinct]
-        self.pool = tuple(sorted(set().union(*self.own_vars)))
-        at = {name: i for i, name in enumerate(self.pool)}
-        self.owners: list[list[tuple[int, int]]] = [[] for _ in self.pool]
-        for kb, names in enumerate(self.own_vars):
-            for j, name in enumerate(names):
-                self.owners[at[name]].append((kb, 1 << j))
+    def __init__(self, profile: Profile):
+        self.space, patterns = _assignment_space(profile.vocabulary)
+        n = len(patterns)
+        self._flips = [(1 << (n - 1 - j), pattern)
+                       for j, pattern in enumerate(patterns.values())]
+        kbs = list(zip(profile.kb_tables, profile.kb_masks))
+        distinct = list(dict.fromkeys(kbs))
+        self.position = [distinct.index(kb) for kb in kbs]
+        self.own = [mask for _, mask in distinct]
+        self._memo = [{0: table} for table, _ in distinct]
+        self.pool = reduce(or_, self.own)
 
     def closed(self, kb: int, mask: int) -> int:
         """Truth table of distinct KB ``kb`` closed under flips of the own
@@ -269,23 +271,18 @@ class _ClosureTable:
             missing.append(top)
             prefix ^= 1 << top
             table = memo.get(prefix)
-        flips = self._flips[kb]
         for j in reversed(missing):
             prefix |= 1 << j
-            weight, pattern = flips[j]
+            weight, pattern = self._flips[j]
             table |= _flip(table, weight, pattern, self.space)
             memo[prefix] = table
         return table
 
-    def shared(self, chosen: Iterable[int], vector: int) -> int:
-        """``vector`` narrowed to the models of every KB with the pool
-        variables ``chosen`` (indices into ``pool``) forgotten."""
-        own = [0] * len(self._memo)
-        for i in chosen:
-            for kb, bit in self.owners[i]:
-                own[kb] |= bit
-        for kb, kb_mask in enumerate(own):
-            vector &= self.closed(kb, kb_mask)
+    def shared(self, mask: int, vector: int) -> int:
+        """``vector`` narrowed to the models of every KB with the variables
+        in ``mask`` forgotten."""
+        for kb, own in enumerate(self.own):
+            vector &= self.closed(kb, mask & own)
             if not vector:
                 break
         return vector
@@ -297,9 +294,8 @@ def _selection_union(table: _ClosureTable, mu_vector: int,
     the conjunction of closures with the constraint.  Counts beyond a KB's
     own variable count saturate at forgetting everything it has."""
     choices = []
-    for i, count in enumerate(counts):
-        kb = table.position[i]
-        bits = [1 << j for j in range(len(table.own_vars[kb]))]
+    for kb, count in zip(table.position, counts):
+        bits = [1 << j for j in _iter_masks(table.own[kb])]
         choices.append([(kb, sum(chosen))
                         for chosen in combinations(bits, min(count, len(bits)))])
     union = 0
@@ -336,44 +332,43 @@ def _descending_tuples(length: int, bound: int) -> Iterator[tuple[int, ...]]:
             yield (first, *tail)
 
 
-def _forgetting_form(profile: Profile, tag: str, cap: int, levels) -> MergeResult:
+def _forgetting_form(profile: Profile, tag: str, levels) -> MergeResult:
     """Try the levels ``levels(sizes)`` yields, in order, until one is
     consistent; ``sizes`` holds the KBs' own variable counts, and a level is
     its evidence plus the per-KB forget counts whose unions it joins."""
-    vocab = profile.vocabulary
-    mu_vector = truth_vector(profile.constraint, vocab, cap)
+    mu_vector = profile.constraint_table
     if not mu_vector:
-        return _result(tag, vocab, 0, degenerate_constraint=True)
-    table = _ClosureTable(profile, vocab, cap)
-    for evidence, splits in levels([len(v) for v in profile.kb_variables]):
+        return _result(tag, profile, 0, degenerate_constraint=True)
+    table = _ClosureTable(profile)
+    for evidence, splits in levels([mask.bit_count() for mask in profile.kb_masks]):
         union = 0
         for counts in splits:
             union |= _selection_union(table, mu_vector, counts)
         if union:
-            return _result(tag, vocab, union, **evidence)
+            return _result(tag, profile, union, **evidence)
     raise AssertionError("unreachable: forgetting every variable always succeeds")
 
 
-def merge_sigma_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
+def merge_sigma_forget(profile: Profile) -> MergeResult:
     """Sum merge rebuilt from forgetting: raise the total number of
     variables forgotten across the KBs until some split of that total makes
     the forgotten KBs jointly consistent with the constraint."""
-    return _forgetting_form(profile, "sigma-forget", cap, lambda sizes: (
+    return _forgetting_form(profile, "sigma-forget", lambda sizes: (
         ({"k": k}, _compositions(k, sizes)) for k in range(sum(sizes) + 1)))
 
 
-def merge_max_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
+def merge_max_forget(profile: Profile) -> MergeResult:
     """Worst-case merge rebuilt from forgetting: every KB forgets the same
     number of variables, the least number that restores joint consistency."""
-    return _forgetting_form(profile, "max-forget", cap, lambda sizes: (
+    return _forgetting_form(profile, "max-forget", lambda sizes: (
         ({"k": k}, [(k,) * len(sizes)]) for k in range(max(sizes) + 1)))
 
 
-def merge_gmax_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
+def merge_gmax_forget(profile: Profile) -> MergeResult:
     """Leximax merge rebuilt from forgetting: per-KB forget counts are drawn
     from the permutations of one descending tuple, and tuples are tried in
     ascending lexicographic order until the disjunction is consistent."""
-    return _forgetting_form(profile, "gmax-forget", cap, lambda sizes: (
+    return _forgetting_form(profile, "gmax-forget", lambda sizes: (
         ({"distance_tuple": tup}, sorted(set(permutations(tup))))
         for tup in _descending_tuples(len(sizes), max(sizes))))
 
@@ -381,40 +376,41 @@ def merge_gmax_forget(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeRe
 # ---------------------------------------------------------------------------
 # shared-forgetting-set operators
 
-def _least_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[tuple[int, ...], int]]:
-    """f1: every successful shared set of the least size, with its winners,
-    tried level by level.  Reading these off f2's family instead could cost
-    exponentially more when one small set succeeds beside many larger
-    minimal ones; the levels cost at most sum of C(|pool|, i) for i up to
-    the answer's size."""
-    pool = range(len(table.pool))
+def _least_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]:
+    """f1: every successful shared set of the least size, as a vocabulary
+    mask with its winners, tried level by level.  Reading these off f2's
+    family instead could cost exponentially more when one small set
+    succeeds beside many larger minimal ones; the levels cost at most sum
+    of C(|pool|, i) for i up to the answer's size."""
+    pool = [1 << j for j in _iter_masks(table.pool)]
     for size in range(len(pool) + 1):
         found = []
         for chosen in combinations(pool, size):
-            vector = table.shared(chosen, mu_vector)
+            mask = sum(chosen)
+            vector = table.shared(mask, mu_vector)
             if vector:
-                found.append((chosen, vector))
+                found.append((mask, vector))
         if found:
             return found
     raise AssertionError("unreachable: forgetting every variable always succeeds")
 
 
-def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[tuple[int, ...], int]]:
-    """f2: every inclusion-minimal successful shared set, with its winners,
-    by joint generation.  A set containing no member of the family found so
-    far lies inside ``pool - h`` for some minimal hitting set h of that
-    family, so the family is complete once every such top fails; a top
-    that succeeds is shrunk, one variable at a time, to a new minimal
-    member.  Tops that failed stay failed and are not tested again."""
-    full = (1 << len(table.pool)) - 1
-    found: list[tuple[tuple[int, ...], int]] = []
+def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]:
+    """f2: every inclusion-minimal successful shared set, as a vocabulary
+    mask with its winners, by joint generation.  A set containing no member
+    of the family found so far lies inside ``pool - h`` for some minimal
+    hitting set h of that family, so the family is complete once every such
+    top fails; a top that succeeds is shrunk, one variable at a time, to a
+    new minimal member.  Tops that failed stay failed and are not tested
+    again."""
+    found: list[tuple[int, int]] = []
     transversals, failed = [0], set()
     while True:
         for hit in transversals:
-            top = full ^ hit
+            top = table.pool ^ hit
             if top in failed:
                 continue
-            vector = table.shared(_iter_masks(top), mu_vector)
+            vector = table.shared(top, mu_vector)
             if vector:
                 break
             failed.add(top)
@@ -423,10 +419,10 @@ def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[tuple[int,
         minimal = top
         for i in _iter_masks(top):
             trial = minimal ^ 1 << i
-            narrowed = table.shared(_iter_masks(trial), mu_vector)
+            narrowed = table.shared(trial, mu_vector)
             if narrowed:
                 minimal, vector = trial, narrowed
-        found.append((tuple(_iter_masks(minimal)), vector))
+        found.append((minimal, vector))
         transversals = _transversals_with(transversals, minimal)
 
 
@@ -443,34 +439,30 @@ def _transversals_with(transversals: list[int], new: int) -> list[int]:
 
 
 def _family_merge(profile: Profile, tag: str,
-                  search: Callable[[_ClosureTable, int],
-                                   list[tuple[tuple[int, ...], int]]],
-                  cap: int) -> MergeResult:
-    vocab = profile.vocabulary
-    mu_vector = truth_vector(profile.constraint, vocab, cap)
+                  search: Callable[[_ClosureTable, int], list[tuple[int, int]]]) -> MergeResult:
+    mu_vector = profile.constraint_table
     if not mu_vector:
-        return _result(tag, vocab, 0, degenerate_constraint=True,
+        return _result(tag, profile, 0, degenerate_constraint=True,
                        forgetting_family=())
-    table = _ClosureTable(profile, vocab, cap)
     family, union = [], 0
-    for chosen, vector in search(table, mu_vector):
-        family.append(chosen)
+    for mask, vector in search(_ClosureTable(profile), mu_vector):
+        family.append(tuple(_iter_masks(mask)))
         union |= vector
     family.sort(key=lambda chosen: (len(chosen), chosen))
-    names = tuple(tuple(table.pool[i] for i in chosen) for chosen in family)
-    return _result(tag, vocab, union, forgetting_family=names)
+    names = tuple(tuple(profile.vocabulary[j] for j in chosen) for chosen in family)
+    return _result(tag, profile, union, forgetting_family=names)
 
 
-def merge_f1(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
+def merge_f1(profile: Profile) -> MergeResult:
     """Forget one shared variable set of minimal cardinality from every KB;
     the result is the disjunction over all such sets of the forgotten KBs
     conjoined with the constraint."""
-    return _family_merge(profile, "f1", _least_sets, cap)
+    return _family_merge(profile, "f1", _least_sets)
 
 
-def merge_f2(profile: Profile, cap: int = DEFAULT_VOCAB_CAP) -> MergeResult:
+def merge_f2(profile: Profile) -> MergeResult:
     """As f1, but the shared forgotten sets are minimal by set inclusion."""
-    return _family_merge(profile, "f2", _minimal_sets, cap)
+    return _family_merge(profile, "f2", _minimal_sets)
 
 
 OPERATORS: dict[str, Callable[..., MergeResult]] = {

@@ -108,8 +108,8 @@ class _Tables:
         return truth_vector(formula, self.vocabulary, self.cap)
 
     def merge(self, kbs: Sequence[Formula], constraint: Formula) -> int:
-        profile = Profile(tuple(kbs), constraint, self.vocabulary)
-        return self.operator(profile, cap=self.cap).model_set.table
+        profile = Profile(tuple(kbs), constraint, self.vocabulary, self.cap)
+        return self.operator(profile).model_set.table
 
 
 def _entails(first: int, second: int) -> bool:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 
-from .formula import Formula, ParseError, format_formula, parse
+from .formula import TRUE, Formula, ParseError, format_formula, parse
 from .merging import Profile
+from .semantics import DEFAULT_VOCAB_CAP
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -50,18 +51,18 @@ def parse_profile_parts(text: str) -> tuple[tuple[Formula, ...], Formula | None,
     return tuple(kbs), constraint, tuple(sorted(set(extra)))
 
 
-def parse_profile(text: str) -> Profile:
-    """Parse a profile file into a :class:`Profile`.
+def parse_profile(text: str, cap: int = DEFAULT_VOCAB_CAP) -> Profile:
+    """Parse a profile file into a :class:`Profile` compiled under ``cap``.
 
-    Raises :class:`ParseError` on malformed text and
+    Raises :class:`ParseError` on malformed text,
+    :class:`VocabularyCapError` if the vocabulary exceeds ``cap`` and
     :class:`InconsistentKBError` if some KB has no models.
     """
     kbs, constraint, extra = parse_profile_parts(text)
     if not kbs:
         raise ParseError("a profile needs at least one kb line", 1, 1)
-    if constraint is None:
-        return Profile(kbs, extra_vars=extra)
-    return Profile(kbs, constraint, extra_vars=extra)
+    return Profile(kbs, TRUE if constraint is None else constraint,
+                   extra_vars=extra, cap=cap)
 
 
 def _parse_formula(text: str, lineno: int) -> Formula:

@@ -30,6 +30,10 @@ from .formula import (
 
 DEFAULT_VOCAB_CAP = 24
 
+# the widest vocabulary whose cached assignment space (n + 1 tables of
+# 2^n bits, see _assignment_space) fits in 1 GiB: 29 x 32 MiB at n = 28
+MAX_VOCAB_CAP = 28
+
 # merging a profile above this many variables is legal but loud (see cli)
 MERGE_WARN_VARS = 16
 

@@ -9,6 +9,7 @@ from beliefmerge import Profile, models, parse, replay_violation
 from beliefmerge.cli import main
 from beliefmerge.formula import MAX_DEPTH
 from beliefmerge.merging import OPERATORS, merge_sigma
+from beliefmerge.semantics import MAX_VOCAB_CAP
 
 CO_OWNERS_F1_DNF = ("!I & !P & !S & !T | !I & !P & !S & T"
                     " | !I & !P & S & !T | !I & P & !S & !T")
@@ -86,6 +87,29 @@ class TestMerge:
                               "--max-vocab", "4")
         assert code == 3
         assert "cap" in err
+
+    def test_max_vocab_reaches_the_profile(self, tmp_path):
+        # Profile once tested its KBs at the default cap whatever --max-vocab
+        # said.  A child process keeps the 2^25-bit tables out of this one.
+        cube = " & ".join(f"x{i:02}" for i in range(25))
+        wide = tmp_path / "wide.profile"
+        wide.write_text(f"constraint: {cube}\nkb: {cube}\n")
+        done = run_process("merge", "-f", str(wide), "-o", "max",
+                           "--max-vocab", "25", "--format", "models")
+        assert done.returncode == 0
+        assert done.stdout.decode().splitlines()[1:] == ["1" * 25]
+        assert b"k = 0\n" in done.stderr
+
+    def test_over_cap_profile_fails_while_parsed(self, capsys, tmp_path):
+        # two 13-variable cubes sharing a00: 25 variables, one over the cap
+        first = " & ".join(f"a{i:02}" for i in range(13))
+        second = " & ".join(f"a{i:02}" for i in range(12, 25))
+        wide = tmp_path / "wide.profile"
+        wide.write_text(f"kb: {first}\nkb: {second}\n")
+        code, out, err = invoke(capsys, "merge", "-f", str(wide), "-o", "sigma")
+        assert code == 3
+        assert out == ""
+        assert err == "error: 25 variables exceed the enumeration cap of 24\n"
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "merge", "-f", str(tmp_path / "absent.profile"),
@@ -172,6 +196,18 @@ class TestFormulaCommands:
         assert out == ""
         assert "nested deeper than" in err
 
+    @pytest.mark.parametrize("cap", ["29", "100000", "-1"])
+    def test_max_vocab_outside_the_ceiling_exit_3(self, capsys, cap):
+        code, out, err = invoke(capsys, "equiv", "p", "p", "--max-vocab", cap)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: --max-vocab must be between 0 and {MAX_VOCAB_CAP}\n"
+
+    def test_max_vocab_at_the_ceiling(self, capsys):
+        code, out, _ = invoke(capsys, "equiv", "p", "p", "--max-vocab", str(MAX_VOCAB_CAP))
+        assert code == 0
+        assert out == "equivalent\n"
+
     def test_formula_inside_the_depth_bound(self, capsys):
         code, out, _ = invoke(capsys, "equiv", "!" * MAX_DEPTH + "p", "p")
         assert (code, out) == (0, "equivalent\n")
@@ -228,8 +264,8 @@ class TestCheck:
 
     def test_violation_on_a_claimed_cell_exits_1(self, capsys, monkeypatch):
         # sabotage the sum operator so a claimed-pass cell really fails
-        def ignores_the_constraint(profile, cap=24):
-            return merge_sigma(Profile(profile.kbs), cap=cap)
+        def ignores_the_constraint(profile):
+            return merge_sigma(Profile(profile.kbs))
 
         monkeypatch.setitem(OPERATORS, "sigma", ignores_the_constraint)
         code, out, _ = invoke(capsys, "check", "-o", "sigma",

@@ -10,6 +10,7 @@ from beliefmerge import (
     OPERATORS,
     Profile,
     TRUE,
+    VocabularyCapError,
     conj,
     disj,
     distance_to_formula,
@@ -169,6 +170,24 @@ class TestProfile:
 
     def test_inconsistent_constraint_is_allowed(self):
         Profile((parse("p"),), parse("q & !q"))  # degenerate, but constructible
+
+    def test_tables_are_compiled_over_the_vocabulary(self):
+        prof = Profile((parse("p"), parse("r -> p")), parse("q"))
+        assert prof.vocabulary == ("p", "q", "r")
+        assert prof.kb_masks == (0b001, 0b101)  # bit j stands for vocabulary[j]
+        assert prof.kb_tables == tuple(truth_vector(kb, prof.vocabulary)
+                                       for kb in prof.kbs)
+        assert prof.constraint_table == truth_vector(parse("q"), prof.vocabulary)
+
+    def test_cap_comes_before_any_table(self):
+        wide = tuple(f"x{i:02}" for i in range(40))
+        with pytest.raises(VocabularyCapError):
+            Profile((parse("p"),), extra_vars=wide)
+        with pytest.raises(VocabularyCapError):
+            Profile((parse("p & q"), parse("r | s")), cap=3)
+
+    def test_cap_is_not_part_of_equality(self):
+        assert Profile((parse("p"),), cap=1) == Profile((parse("p"),))
 
 
 class TestCoOwners:
