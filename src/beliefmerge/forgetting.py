@@ -18,8 +18,8 @@ from .semantics import (
     InconsistentFormulaError,
     ModelSet,
     UnknownVariableError,
-    _assignment_space,
     _dilate_once,
+    _width_tables,
     to_dnf,
     truth_vector,
 )
@@ -68,9 +68,9 @@ def _dilated_models(formula: Formula, rounds: int,
     vector = truth_vector(formula, vocab, cap)
     if not vector:
         raise InconsistentFormulaError("cannot dilate an inconsistent formula")
-    space, patterns = _assignment_space(vocab)
+    space, flips = _width_tables(len(vocab))
     for _ in range(min(rounds, len(vocab))):
-        vector = _dilate_once(vector, space, patterns)
+        vector = _dilate_once(vector, space, flips)
     return ModelSet(vocab, vector)
 
 

@@ -17,8 +17,10 @@ its closures by a vocabulary mask (bit j: ``vocabulary[j]``) restricted
 to its own variables.  Forgetting more never loses consistency, so f2
 finds its minimal sets by joint generation: it tests the largest sets that contain
 no set found so far (complements of minimal hitting sets) and shrinks
-any that succeeds.  f1 stays level-wise by size, which bounds its cost by
-the size of its answer.
+any that succeeds.  Every least-size successful set is also minimal by
+inclusion, so f1 keeps the smallest members of f2's family and costs what
+f2 costs on the same profile; :func:`_least_sets` gives a profile where
+that is far more than a search by size would take.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .formula import Formula, TRUE, variables
 from .semantics import (
     DEFAULT_VOCAB_CAP,
     ModelSet,
-    _assignment_space,
     _dilate_once,
     _flip,
     _iter_masks,
+    _width_tables,
     to_dnf,
     truth_vector,
 )
@@ -61,6 +63,7 @@ class Profile:
     Construction refuses a vocabulary wider than ``cap``, then compiles
     the KBs and the constraint to truth tables over it.  ``kb_masks`` holds
     each KB's own variables as a mask, bit j standing for ``vocabulary[j]``.
+    ``extra_vars`` is held sorted and free of duplicates.
     """
 
     kbs: tuple[Formula, ...]
@@ -75,7 +78,7 @@ class Profile:
 
     def __post_init__(self):
         object.__setattr__(self, "kbs", tuple(self.kbs))
-        object.__setattr__(self, "extra_vars", tuple(self.extra_vars))
+        object.__setattr__(self, "extra_vars", tuple(sorted(set(self.extra_vars))))
         if not self.kbs:
             raise ValueError("a profile needs at least one knowledge base")
         own = [variables(kb) for kb in self.kbs]
@@ -127,13 +130,13 @@ def _dilation_layers(profile: Profile) -> list[list[int]]:
     """Per KB position, the balls ``balls[k]`` of radius k around that KB,
     grown until the last covers the constraint.  KBs with equal tables
     share one list."""
-    space, patterns = _assignment_space(profile.vocabulary)
+    space, flips = _width_tables(len(profile.vocabulary))
     grown: dict[int, list[int]] = {}
     for table in profile.kb_tables:
         if table not in grown:
             balls = [table]
             while profile.constraint_table & ~balls[-1]:
-                balls.append(_dilate_once(balls[-1], space, patterns))
+                balls.append(_dilate_once(balls[-1], space, flips))
             grown[table] = balls
     return [grown[table] for table in profile.kb_tables]
 
@@ -245,10 +248,7 @@ class _ClosureTable:
     forgotten set projects onto each KB as ``mask & own``."""
 
     def __init__(self, profile: Profile):
-        self.space, patterns = _assignment_space(profile.vocabulary)
-        n = len(patterns)
-        self._flips = [(1 << (n - 1 - j), pattern)
-                       for j, pattern in enumerate(patterns.values())]
+        self.space, self._flips = _width_tables(len(profile.vocabulary))
         kbs = list(zip(profile.kb_tables, profile.kb_masks))
         distinct = list(dict.fromkeys(kbs))
         self.position = [distinct.index(kb) for kb in kbs]
@@ -258,24 +258,17 @@ class _ClosureTable:
 
     def closed(self, kb: int, mask: int) -> int:
         """Truth table of distinct KB ``kb`` closed under flips of the own
-        variables in ``mask``, grown from its longest memoised prefix (the
-        mask less its highest bits) one flip per missing bit."""
+        variables in ``mask``: the closure of the mask without its highest
+        bit, flipped once more in that bit.  Recursion runs at most one
+        level per vocabulary position."""
         memo = self._memo[kb]
         table = memo.get(mask)
-        if table is not None:
-            return table
-        missing = []
-        prefix = mask
-        while table is None:
-            top = prefix.bit_length() - 1
-            missing.append(top)
-            prefix ^= 1 << top
-            table = memo.get(prefix)
-        for j in reversed(missing):
-            prefix |= 1 << j
-            weight, pattern = self._flips[j]
+        if table is None:
+            top = mask.bit_length() - 1
+            weight, pattern = self._flips[top]
+            table = self.closed(kb, mask ^ 1 << top)
             table |= _flip(table, weight, pattern, self.space)
-            memo[prefix] = table
+            memo[mask] = table
         return table
 
     def shared(self, mask: int, vector: int) -> int:
@@ -378,21 +371,16 @@ def merge_gmax_forget(profile: Profile) -> MergeResult:
 
 def _least_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]:
     """f1: every successful shared set of the least size, as a vocabulary
-    mask with its winners, tried level by level.  Reading these off f2's
-    family instead could cost exponentially more when one small set
-    succeeds beside many larger minimal ones; the levels cost at most sum
-    of C(|pool|, i) for i up to the answer's size."""
-    pool = [1 << j for j in _iter_masks(table.pool)]
-    for size in range(len(pool) + 1):
-        found = []
-        for chosen in combinations(pool, size):
-            mask = sum(chosen)
-            vector = table.shared(mask, mu_vector)
-            if vector:
-                found.append((mask, vector))
-        if found:
-            return found
-    raise AssertionError("unreachable: forgetting every variable always succeeds")
+    mask with its winners.  Successful sets are closed upward, so each
+    least-size one is inclusion-minimal: f1's family is the smallest
+    members of f2's, and f1 costs what f2 costs.  That can be far more than
+    a search by size would take when one small set succeeds beside many
+    larger minimal ones: with KB1 = x & !y1 & ... & !ym and KB2 = x -> (at
+    least m/2 of the y), f1 is {x} but f2's family has C(m, m/2) + 1 sets
+    (m = 12: 0.27 s, against 0.3 ms for a search by size)."""
+    family = _minimal_sets(table, mu_vector)
+    least = min(mask.bit_count() for mask, _ in family)
+    return [(mask, vector) for mask, vector in family if mask.bit_count() == least]
 
 
 def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]:

@@ -77,9 +77,8 @@ def profile_to_text(profile: Profile) -> str:
     """Render a profile back into the file format; parsing the result gives
     an equal profile over the same vocabulary."""
     lines = []
-    vocab = profile.vocabulary
-    if vocab:
-        lines.append("vars: " + ", ".join(vocab))
+    if profile.extra_vars:
+        lines.append("vars: " + ", ".join(profile.extra_vars))
     lines.append("constraint: " + format_formula(profile.constraint))
     lines.extend("kb: " + format_formula(kb) for kb in profile.kbs)
     return "\n".join(lines) + "\n"

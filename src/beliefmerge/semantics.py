@@ -30,8 +30,10 @@ from .formula import (
 
 DEFAULT_VOCAB_CAP = 24
 
-# the widest vocabulary whose cached assignment space (n + 1 tables of
-# 2^n bits, see _assignment_space) fits in 1 GiB: 29 x 32 MiB at n = 28
+# the widest vocabulary whose assignment space (n + 1 tables of 2^n bits,
+# see _width_tables) fits in 1 GiB: 29 x 32 MiB at n = 28.  The tables are
+# cached once per width, so a process that touches every width up to the
+# cap holds at most 1.75 GiB of them.
 MAX_VOCAB_CAP = 28
 
 # merging a profile above this many variables is legal but loud (see cli)
@@ -157,22 +159,29 @@ def vocabulary_union(*formulas: Formula, extra: Iterable[str] = ()) -> tuple[str
     return tuple(sorted(names))
 
 
-@lru_cache(maxsize=256)
-def _assignment_space(vocabulary: tuple[str, ...]) -> tuple[int, dict[str, int]]:
-    """All-ones truth table plus, per variable, the table of the variable itself."""
-    n = len(vocabulary)
+@lru_cache(maxsize=MAX_VOCAB_CAP + 1)
+def _width_tables(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """All-ones truth table over n variables plus, per position j, the
+    variable's weight in a mask and its own truth table."""
     size = 1 << n
-    space = (1 << size) - 1
-    patterns: dict[str, int] = {}
-    for j, name in enumerate(vocabulary):
+    flips = []
+    for j in range(n):
         weight = 1 << (n - 1 - j)
         pattern = ((1 << weight) - 1) << weight
         shift = weight << 1
         while shift < size:
             pattern |= pattern << shift
             shift <<= 1
-        patterns[name] = pattern
-    return space, patterns
+        flips.append((weight, pattern))
+    return (1 << size) - 1, tuple(flips)
+
+
+@lru_cache(maxsize=256)
+def _assignment_space(vocabulary: tuple[str, ...]) -> tuple[int, dict[str, int]]:
+    """All-ones truth table plus, per variable, the table of the variable
+    itself; the tables are the width's, shared by every vocabulary."""
+    space, flips = _width_tables(len(vocabulary))
+    return space, {name: pattern for name, (_, pattern) in zip(vocabulary, flips)}
 
 
 def _flip(table: int, weight: int, pattern: int, space: int) -> int:
@@ -181,14 +190,12 @@ def _flip(table: int, weight: int, pattern: int, space: int) -> int:
     return ((table & pattern) >> weight) | ((table & (space ^ pattern)) << weight)
 
 
-def _dilate_once(table: int, space: int, patterns: dict[str, int]) -> int:
+def _dilate_once(table: int, space: int, flips: tuple[tuple[int, int], ...]) -> int:
     """Assignments within Hamming distance one of a member of ``table``;
-    ``patterns`` is in vocabulary order, as :func:`_assignment_space` gives."""
+    ``flips`` is the width's, as :func:`_width_tables` gives."""
     grown = table
-    weight = space.bit_length() >> 1  # the first variable's: 2^(n-1)
-    for pattern in patterns.values():
+    for weight, pattern in flips:
         grown |= _flip(table, weight, pattern, space)
-        weight >>= 1
     return grown
 
 

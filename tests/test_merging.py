@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -27,6 +30,8 @@ from beliefmerge import (
     merge_sigma_forget,
     models,
     parse,
+    parse_profile,
+    profile_to_text,
     to_dnf,
     truth_vector,
     variables,
@@ -189,6 +194,14 @@ class TestProfile:
     def test_cap_is_not_part_of_equality(self):
         assert Profile((parse("p"),), cap=1) == Profile((parse("p"),))
 
+    def test_text_round_trip(self, co_owners):
+        for prof in (co_owners,
+                     Profile((parse("p"), parse("q")), parse("p | q")),
+                     Profile((parse("p"),), parse("q"), extra_vars=("z", "a", "z", "p"))):
+            again = parse_profile(profile_to_text(prof))
+            assert again == prof
+            assert again.vocabulary == prof.vocabulary
+
 
 class TestCoOwners:
     def test_sigma(self, co_owners):
@@ -250,6 +263,32 @@ class TestFamilyOracle:
         assert sum(len({len(c) for c in family}) > 1
                    for family in minimal_families) >= 5
         assert max(len(family) for family in minimal_families) >= 4
+
+
+# f1 on 4 random DNF KBs drawn over 18 names, run alone so that its peak RSS
+# is its own; ru_maxrss is in KiB on Linux
+F1_PROBE = """
+import json, random, resource
+from beliefmerge import Profile, TRUE, merge_f1
+from beliefmerge.postulates import random_dnf
+rng = random.Random(0)
+names = [f"x{i:02}" for i in range(18)]
+result = merge_f1(Profile(tuple(random_dnf(rng, names) for _ in range(4)), TRUE))
+print(json.dumps([len(result.model_set),
+                  [len(chosen) for chosen in result.forgetting_family],
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_f1_memory_is_bounded_on_18_variables():
+    done = subprocess.run([sys.executable, "-c", F1_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    winners, sizes, maxrss_kib = json.loads(done.stdout)
+    assert winners == 2048
+    assert sizes == [10, 10]
+    assert maxrss_kib < 128 * 1024
 
 
 class TestSplitVote:

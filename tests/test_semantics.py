@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from beliefmerge import (
     models,
     parse,
     to_dnf,
+    truth_vector,
     vocabulary_union,
 )
 from beliefmerge.postulates import VAR_POOL, random_formula
@@ -116,6 +118,20 @@ class TestModels:
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError):
             models(parse("p"), ("q",))
+
+    def test_assignment_tables_are_shared_per_width(self):
+        # one 18-variable assignment space is 19 tables of 32 KiB; a copy
+        # per vocabulary would retain about 39 MB here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(64):
+                vocab = tuple(f"w{k:02}_{i:02}" for i in range(18))
+                truth_vector(parse(vocab[0]), vocab)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 4 << 20
 
 
 class TestDalal:
