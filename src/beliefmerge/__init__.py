@@ -38,6 +38,7 @@ from .semantics import (
     entails,
     equivalent,
     evaluate,
+    format_dnf,
     formula_distance,
     is_consistent,
     models,

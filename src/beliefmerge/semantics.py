@@ -357,3 +357,43 @@ def to_dnf(model_set: ModelSet) -> Formula:
         else:
             terms.append(And(tuple(literals)))
     return terms[0] if len(terms) == 1 else Or(tuple(terms))
+
+
+def format_dnf(model_set: ModelSet) -> str:
+    """Text of :func:`to_dnf`'s formula, byte for byte what
+    ``format_formula(to_dnf(model_set))`` prints, written straight from the
+    truth table without building the tree.
+
+    The vocabulary is cut into slices of w variables, the last slice
+    ending at the lowest bit of a mask.  Each slice gets the literal runs
+    of its 2^w values, built per call, and each minterm is one run per
+    slice.  2^w is at most twice the number of members and at most 256, so
+    building the runs costs no more than the text they serve.
+    """
+    table = model_set.table
+    if not table:
+        return "false"
+    vocab = model_set.vocabulary
+    if not vocab:
+        return "true"
+    n = len(vocab)
+    width = min(8, table.bit_count().bit_length())
+    cut = n % width or width
+    runs = [_literal_runs(vocab[:cut], "")]
+    runs.extend(_literal_runs(vocab[start:start + width], " & ")
+                for start in range(cut, n, width))
+    slices = list(zip(runs, range(n - cut, -1, -width)))
+    low = (1 << width) - 1
+    return " | ".join("".join([run[mask >> shift & low] for run, shift in slices])
+                      for mask in _iter_masks(table))
+
+
+def _literal_runs(names: tuple[str, ...], lead: str) -> list[str]:
+    """``lead`` plus the ``" & "``-joined literals of ``names`` for each of
+    their values, indexed like a mask: the first name is the highest bit."""
+    first = names[0]
+    runs = [f"{lead}!{first}", lead + first]
+    for name in names[1:]:
+        negative, positive = " & !" + name, " & " + name
+        runs = [run + literal for run in runs for literal in (negative, positive)]
+    return runs

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from beliefmerge import Profile, models, parse, replay_violation
+from beliefmerge import Profile, cli, forgetting, formula, merging, semantics
+from beliefmerge import models, parse, replay_violation
 from beliefmerge.cli import main
 from beliefmerge.formula import MAX_DEPTH
 from beliefmerge.merging import OPERATORS, merge_sigma
@@ -283,6 +284,36 @@ class TestCheck:
         code, _, _ = invoke(capsys, "check", "-o", "sigma", "--postulates", "IC0",
                             "--trials", "0")
         assert code == 3
+
+
+class TestOutputWithoutFormulaTrees:
+    """Answers print straight from their truth tables: the CLI builds no
+    ``to_dnf`` tree and runs no tree printer for any of them."""
+
+    WIDE = " & ".join(f"v{i}" for i in range(10))  # answers span several slices
+
+    def commands(self, path):
+        for fmt in ("dnf", "models", "table"):
+            yield ("merge", "-f", str(path), "-o", "f1", "--format", fmt)
+        yield ("forget", "S & T & P | !I & !S", "--vars", "T,P")
+        yield ("forget", self.WIDE, "--vars", "v3")
+        yield ("dilate", "p & q", "-n", "1")
+        yield ("dilate", self.WIDE, "-n", "2")
+
+    def test_same_output_when_trees_cannot_be_built(self, capsys, monkeypatch,
+                                                    co_owners_path):
+        expected = [invoke(capsys, *argv) for argv in self.commands(co_owners_path)]
+
+        def refuse(*_):
+            raise AssertionError("an output formula tree was built")
+
+        for module in (semantics, merging, forgetting):
+            monkeypatch.setattr(module, "to_dnf", refuse)
+        monkeypatch.setattr(formula, "format_formula", refuse)
+        monkeypatch.setattr(cli, "format_formula", refuse)
+        for argv, (code, out, err) in zip(self.commands(co_owners_path), expected):
+            assert code == 0, argv
+            assert invoke(capsys, *argv) == (code, out, err), argv
 
 
 class TestDeterminism:

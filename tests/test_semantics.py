@@ -17,6 +17,7 @@ from beliefmerge import (
     entails,
     equivalent,
     evaluate,
+    format_dnf,
     formula_distance,
     is_consistent,
     models,
@@ -25,6 +26,7 @@ from beliefmerge import (
     truth_vector,
     vocabulary_union,
 )
+from beliefmerge.formula import format_formula
 from beliefmerge.postulates import VAR_POOL, random_formula
 
 
@@ -222,6 +224,49 @@ class TestToDnf:
             formula = random_formula(rng, names, depth=3)
             vocab = vocabulary_union(formula, extra=names)
             assert equivalent(formula, to_dnf(models(formula, vocab)))
+
+
+class TestFormatDnf:
+    """``format_dnf`` against its oracle, the printed ``to_dnf`` tree."""
+
+    @staticmethod
+    def assert_matches(width, table):
+        model_set = ModelSet(tuple(f"x{i:02d}" for i in range(width)), table)
+        assert format_dnf(model_set) == format_formula(to_dnf(model_set)), (width, table)
+
+    def test_fixed_points(self):
+        assert format_dnf(ModelSet(("p",), 0)) == "false"
+        assert format_dnf(ModelSet((), 0b1)) == "true"
+        assert format_dnf(ModelSet(("p",), 0b10)) == "p"
+        assert format_dnf(ModelSet(("p",), 0b11)) == "!p | p"
+        assert format_dnf(models(parse("p & !q"), ("p", "q"))) == "p & !q"
+
+    def test_every_table_up_to_three_variables(self):
+        for width in range(4):
+            for table in range(1 << (1 << width)):
+                self.assert_matches(width, table)
+
+    def test_random_tables_across_slice_boundaries(self):
+        # slices are 8 variables wide from 128 members up and narrower
+        # below, so 8, 9, 16 and 17 variables sit either side of a boundary
+        rng = random.Random("format_dnf")
+
+        def sparse(width, count):  # keeps the oracle's tree small
+            return sum(1 << m for m in rng.sample(range(1 << width), count))
+
+        samples = [(4, 0), (17, 0), (8, (1 << 256) - 1), (9, (1 << 512) - 1)]
+        samples += [(width, rng.getrandbits(1 << width)) for width in [8, 9] * 10]
+        samples += [(width, sparse(width, rng.randint(128, 256)))
+                    for width in [16, 17] * 10]
+        for _ in range(260):
+            width = rng.randint(4, 20)
+            if width <= 9:
+                samples.append((width, rng.getrandbits(1 << width)))
+            else:  # log-uniform counts give every slice width from 1 to 8
+                count = rng.randint(1, 1 << rng.randint(0, 8))
+                samples.append((width, sparse(width, count)))
+        for width, table in samples:
+            self.assert_matches(width, table)
 
 
 class TestModelSet:
