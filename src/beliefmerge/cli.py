@@ -34,6 +34,7 @@ from .postulates import (
     GeneratorBounds,
     PostulateId,
     check_randomized,
+    require_bounds,
 )
 from .profile_io import parse_profile
 from .semantics import (
@@ -245,6 +246,8 @@ def _cmd_check(args) -> int:
     postulates = _parse_postulates(args.postulates)
     bounds = GeneratorBounds(max_vars=args.max_vars, max_kbs=args.max_kbs,
                              seed=args.seed)
+    for pid in postulates:
+        require_bounds(pid, bounds)
     # opened before the first cell, so an unwritable path costs no run
     with (open(args.report, "w", encoding="utf-8") if args.report
           else nullcontext()) as report:

@@ -50,11 +50,10 @@ def switch_models(model_set: ModelSet, name: str) -> ModelSet:
     return ModelSet(vocab, sum(1 << m for m in members | {m ^ bit for m in members}))
 
 
-def dilate(formula: Formula, rounds: int, vocabulary: Iterable[str] | None = None,
-           cap: int = DEFAULT_VOCAB_CAP) -> Formula:
+def dilate(formula: Formula, rounds: int, vocabulary: Iterable[str] | None = None) -> Formula:
     """Formula whose models lie within Hamming distance ``rounds`` of some
     model of ``formula``, as a full-minterm DNF over ``vocabulary``."""
-    return to_dnf(_dilated_models(formula, rounds, vocabulary, cap))
+    return to_dnf(_dilated_models(formula, rounds, vocabulary))
 
 
 def _dilated_models(formula: Formula, rounds: int,
@@ -74,8 +73,7 @@ def _dilated_models(formula: Formula, rounds: int,
     return ModelSet(vocab, vector)
 
 
-def dilate_via_forgetting(formula: Formula, rounds: int,
-                          cap: int = DEFAULT_VOCAB_CAP) -> Formula:
+def dilate_via_forgetting(formula: Formula, rounds: int) -> Formula:
     """Dilation assembled from forgetting alone: the disjunction of
     ``forget(formula, V)`` over every variable set V of size
     ``min(rounds, |vars|)``.  Equivalent to :func:`dilate` by construction
@@ -84,7 +82,7 @@ def dilate_via_forgetting(formula: Formula, rounds: int,
     if rounds < 0:
         raise ValueError("dilation distance must be non-negative")
     names = variables(formula)
-    if not truth_vector(formula, names, cap):
+    if not truth_vector(formula, names):
         raise InconsistentFormulaError("cannot dilate an inconsistent formula")
     size = min(rounds, len(names))
     return fold_constants(disj([forget(formula, chosen)

@@ -40,7 +40,7 @@ from .formula import (
     variables,
 )
 from .merging import MergeResult, OPERATORS, Profile
-from .profile_io import parse_profile_parts
+from .profile_io import format_profile, parse_profile_parts
 from .semantics import (
     DEFAULT_VOCAB_CAP,
     ModelSet,
@@ -267,17 +267,17 @@ _POSTULATES: Mapping[PostulateId, Callable] = {
 
 
 def _decide(postulate: PostulateId, operator: MergeOperator,
-            instance: PostulateInstance, cap: int):
+            instance: PostulateInstance, cap: int = DEFAULT_VOCAB_CAP):
     """The instance's vocabulary and the postulate's outcome over it."""
     tables = _Tables(operator, instance, cap)
     return tables.vocabulary, _POSTULATES[postulate](instance, tables)
 
 
 def check(postulate: PostulateId, operator: MergeOperator,
-          instance: PostulateInstance, cap: int = DEFAULT_VOCAB_CAP) -> bool:
+          instance: PostulateInstance) -> bool:
     """Truth of one postulate on one instance; a false antecedent counts
     as satisfied."""
-    _, outcome = _decide(postulate, operator, instance, cap)
+    _, outcome = _decide(postulate, operator, instance)
     return outcome is None or outcome[2]
 
 
@@ -424,9 +424,19 @@ def _rewrite_structure(formula: Formula, rng: random.Random) -> Formula:
     return formula
 
 
+def require_bounds(postulate: PostulateId, bounds: GeneratorBounds) -> None:
+    """Raise ``ValueError`` if no instance of ``postulate`` fits ``bounds``:
+    A1 and A2 need a spare literal variable, A2 a KB on each side of it."""
+    if postulate == PostulateId.A2 and bounds.max_kbs < 2:
+        raise ValueError("contested-literal instances need at least 2 KBs")
+    if postulate in (PostulateId.A1, PostulateId.A2) and bounds.max_vars < 2:
+        raise ValueError("literal-property instances need at least 2 variables")
+
+
 def instance_for(postulate: PostulateId, bounds: GeneratorBounds,
                  rng: random.Random, cap: int = DEFAULT_VOCAB_CAP) -> PostulateInstance:
     """Random instance shaped to the postulate's preconditions."""
+    require_bounds(postulate, bounds)
     names = VAR_POOL[:bounds.max_vars]
     base = generate_instance(bounds, rng)
     if postulate in (PostulateId.IC0, PostulateId.IC1):
@@ -469,8 +479,6 @@ def instance_for(postulate: PostulateId, bounds: GeneratorBounds,
 def _fresh_literal(rng: random.Random, names: Sequence[str]) -> tuple[Formula, tuple[str, ...]]:
     """A literal on the last pool variable, kept out of everything else so
     that it is genuinely uncontested outside the constructed KBs."""
-    if len(names) < 2:
-        raise ValueError("literal-property instances need at least 2 variables")
     body = tuple(names[:-1])
     atom = Atom(names[-1])
     literal = atom if rng.random() < 0.5 else Not(atom)
@@ -489,8 +497,6 @@ def _a1_instance(bounds, rng, names) -> PostulateInstance:
 
 
 def _a2_instance(bounds, rng, names) -> PostulateInstance:
-    if bounds.max_kbs < 2:
-        raise ValueError("contested-literal instances need at least 2 KBs")
     literal, body = _fresh_literal(rng, names)
     kbs = [fold_constants(conj([random_dnf(rng, body), literal])),
            fold_constants(conj([random_dnf(rng, body), _negated(literal)]))]
@@ -542,20 +548,13 @@ def check_randomized(postulate: PostulateId, operator: str, trials: int,
     return CheckReport(postulate, operator, trials, tuple(violations))
 
 
-def _group_text(kbs: Sequence[Formula], constraint: Formula) -> str:
-    lines = [f"constraint: {format_formula(constraint)}"]
-    lines.extend(f"kb: {format_formula(kb)}" for kb in kbs)
-    return "\n".join(lines) + "\n"
-
-
 def serialize_violation(postulate: PostulateId, operator: str, trial: int,
-                        instance: PostulateInstance,
-                        cap: int = DEFAULT_VOCAB_CAP) -> dict:
+                        instance: PostulateInstance) -> dict:
     """JSON-friendly record of a violating instance: each KB group in the
     profile file format, both decided sides as model lists over the
     instance's vocabulary.  An instance whose antecedent is false has no
     sides and raises ``ValueError``."""
-    vocab, outcome = _decide(postulate, OPERATORS[operator], instance, cap)
+    vocab, outcome = _decide(postulate, OPERATORS[operator], instance)
     if outcome is None:
         raise ValueError(f"the {postulate.value} antecedent is false on this instance")
     return _record(postulate, operator, trial, instance, vocab, outcome)
@@ -569,7 +568,7 @@ def _record(postulate: PostulateId, operator: str, trial: int,
         "postulate": postulate.value,
         "operator": operator,
         "trial": trial,
-        "profiles": [_group_text(group, instance.constraints[min(i, len(instance.constraints) - 1)])
+        "profiles": [format_profile(group, instance.constraints[min(i, len(instance.constraints) - 1)])
                      for i, group in enumerate(instance.groups)],
         "constraints": [format_formula(c) for c in instance.constraints],
         "literal": None if instance.literal is None else format_formula(instance.literal),
@@ -590,9 +589,9 @@ def instance_from_record(record: Mapping) -> PostulateInstance:
     return PostulateInstance(tuple(groups), constraints, literal)
 
 
-def replay_violation(record: Mapping, cap: int = DEFAULT_VOCAB_CAP) -> bool:
+def replay_violation(record: Mapping) -> bool:
     """Re-evaluate a stored violation from its serialisation; True means it
     still violates."""
     instance = instance_from_record(record)
     operator = OPERATORS[record["operator"]]
-    return not check(PostulateId(record["postulate"]), operator, instance, cap=cap)
+    return not check(PostulateId(record["postulate"]), operator, instance)

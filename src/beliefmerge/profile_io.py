@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 from .formula import TRUE, Formula, ParseError, format_formula, parse
 from .merging import Profile
@@ -76,9 +77,15 @@ def _parse_formula(text: str, lineno: int) -> Formula:
 def profile_to_text(profile: Profile) -> str:
     """Render a profile back into the file format; parsing the result gives
     an equal profile over the same vocabulary."""
+    return format_profile(profile.kbs, profile.constraint, profile.extra_vars)
+
+
+def format_profile(kbs: Sequence[Formula], constraint: Formula,
+                   extra_vars: Sequence[str] = ()) -> str:
+    """File-format text of KBs (there may be none), a constraint and extra names."""
     lines = []
-    if profile.extra_vars:
-        lines.append("vars: " + ", ".join(profile.extra_vars))
-    lines.append("constraint: " + format_formula(profile.constraint))
-    lines.extend("kb: " + format_formula(kb) for kb in profile.kbs)
+    if extra_vars:
+        lines.append("vars: " + ", ".join(extra_vars))
+    lines.append("constraint: " + format_formula(constraint))
+    lines.extend("kb: " + format_formula(kb) for kb in kbs)
     return "\n".join(lines) + "\n"

@@ -176,14 +176,6 @@ def _width_tables(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return (1 << size) - 1, tuple(flips)
 
 
-@lru_cache(maxsize=256)
-def _assignment_space(vocabulary: tuple[str, ...]) -> tuple[int, dict[str, int]]:
-    """All-ones truth table plus, per variable, the table of the variable
-    itself; the tables are the width's, shared by every vocabulary."""
-    space, flips = _width_tables(len(vocabulary))
-    return space, {name: pattern for name, (_, pattern) in zip(vocabulary, flips)}
-
-
 def _flip(table: int, weight: int, pattern: int, space: int) -> int:
     """``table`` with one variable negated in every member: ``pattern`` is
     that variable's own truth table and ``weight`` its bit in a mask."""
@@ -206,8 +198,9 @@ def truth_vector(formula: Formula, vocabulary: Iterable[str],
     if len(vocab) > cap:
         raise VocabularyCapError(
             f"{len(vocab)} variables exceed the enumeration cap of {cap}")
-    space, patterns = _assignment_space(vocab)
-    return _vector(formula, space, patterns)
+    space, flips = _width_tables(len(vocab))
+    return _vector(formula, space,
+                   {name: pattern for name, (_, pattern) in zip(vocab, flips)})
 
 
 def _vector(formula: Formula, space: int, patterns: dict[str, int]) -> int:
@@ -296,10 +289,9 @@ def dalal(first: Interpretation, second: Interpretation) -> int:
     return sum(a != b for a, b in zip(first.bits, second.bits))
 
 
-def distance_to_formula(interpretation: Interpretation, formula: Formula,
-                        cap: int = DEFAULT_VOCAB_CAP) -> int:
+def distance_to_formula(interpretation: Interpretation, formula: Formula) -> int:
     """Least Hamming distance from ``interpretation`` to a model of ``formula``."""
-    vector = truth_vector(formula, interpretation.vocabulary, cap)
+    vector = truth_vector(formula, interpretation.vocabulary)
     if not vector:
         raise InconsistentFormulaError(
             "distance to an inconsistent formula is undefined")
@@ -307,13 +299,12 @@ def distance_to_formula(interpretation: Interpretation, formula: Formula,
     return min((mask ^ m).bit_count() for m in _iter_masks(vector))
 
 
-def formula_distance(first: Formula, second: Formula,
-                     cap: int = DEFAULT_VOCAB_CAP) -> int:
+def formula_distance(first: Formula, second: Formula) -> int:
     """Least Hamming distance between a model of ``first`` and one of
     ``second``, over the union of their vocabularies."""
     vocab = vocabulary_union(first, second)
-    va = truth_vector(first, vocab, cap)
-    vb = truth_vector(second, vocab, cap)
+    va = truth_vector(first, vocab)
+    vb = truth_vector(second, vocab)
     if not va or not vb:
         raise InconsistentFormulaError(
             "formula distance needs both operands consistent")
@@ -321,16 +312,16 @@ def formula_distance(first: Formula, second: Formula,
     return min((a ^ b).bit_count() for a in _iter_masks(va) for b in masks_b)
 
 
-def entails(first: Formula, second: Formula, cap: int = DEFAULT_VOCAB_CAP) -> bool:
+def entails(first: Formula, second: Formula) -> bool:
     """Model-set inclusion over the union vocabulary."""
     vocab = vocabulary_union(first, second)
-    return truth_vector(first, vocab, cap) & ~truth_vector(second, vocab, cap) == 0
+    return truth_vector(first, vocab) & ~truth_vector(second, vocab) == 0
 
 
-def equivalent(first: Formula, second: Formula, cap: int = DEFAULT_VOCAB_CAP) -> bool:
+def equivalent(first: Formula, second: Formula) -> bool:
     """Model-set equality over the union vocabulary."""
     vocab = vocabulary_union(first, second)
-    return truth_vector(first, vocab, cap) == truth_vector(second, vocab, cap)
+    return truth_vector(first, vocab) == truth_vector(second, vocab)
 
 
 def to_dnf(model_set: ModelSet) -> Formula:

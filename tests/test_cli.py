@@ -285,6 +285,25 @@ class TestCheck:
                             "--trials", "0")
         assert code == 3
 
+    @pytest.mark.parametrize("bounds, message", [
+        (("--max-kbs", "1"), "contested-literal instances need at least 2 KBs"),
+        (("--max-vars", "1", "--postulates", "IC0,A1"),
+         "literal-property instances need at least 2 variables"),
+    ], ids=["A2-one-kb", "A1-one-var"])
+    def test_bounds_a_postulate_cannot_meet_fail_before_any_cell(
+            self, capsys, tmp_path, bounds, message):
+        report = tmp_path / "r.json"
+        code, out, err = invoke(capsys, "check", "-o", "f1", *bounds, "--trials", "1",
+                                "--report", str(report))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        assert not report.exists()
+
+    def test_max_vocab_reaches_the_harness(self, capsys):
+        code, out, err = invoke(capsys, "check", "-o", "sigma", "--postulates", "IC0",
+                                "--trials", "1", "--max-vocab", "2")
+        assert (code, out, err) == (
+            3, "", "error: 4 variables exceed the enumeration cap of 2\n")
+
 
 class TestOutputWithoutFormulaTrees:
     """Answers print straight from their truth tables: the CLI builds no

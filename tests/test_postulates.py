@@ -16,6 +16,7 @@ from beliefmerge import (
     conj,
     entails,
     equivalent,
+    format_formula,
     generate_instance,
     instance_for,
     is_consistent,
@@ -36,6 +37,7 @@ from beliefmerge.postulates import (
     equivalent_rewrite,
     instance_from_record,
     random_consistent_formula,
+    require_bounds,
 )
 
 CO_OWNERS_CONSTRAINT = "((S & T) | (S & P) | (T & P)) -> I"
@@ -152,6 +154,24 @@ class TestGenerators:
             assert not set(variables(lit)) & rest_vars
             assert is_consistent(conj([lit, inst.constraints[0]]))
 
+    @pytest.mark.parametrize("postulate, bounds, message", [
+        (PostulateId.A1, GeneratorBounds(max_vars=1), "at least 2 variables"),
+        (PostulateId.A2, GeneratorBounds(max_vars=1), "at least 2 variables"),
+        (PostulateId.A2, GeneratorBounds(max_kbs=1), "at least 2 KBs"),
+        (PostulateId.A2, GeneratorBounds(max_vars=1, max_kbs=1), "at least 2 KBs"),
+    ])
+    def test_literal_instances_refuse_bounds_too_small(self, postulate, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            require_bounds(postulate, bounds)
+        with pytest.raises(ValueError, match=message):
+            instance_for(postulate, bounds, _trial_rng(0, 0))
+
+    def test_other_postulates_take_any_bounds(self):
+        bounds = GeneratorBounds(max_vars=1, max_kbs=1)
+        for postulate in PostulateId:
+            if postulate not in (PostulateId.A1, PostulateId.A2):
+                require_bounds(postulate, bounds)
+
     def test_a2_instances_contest_the_literal(self):
         bounds = GeneratorBounds(seed=9)
         for trial in range(40):
@@ -233,6 +253,14 @@ class TestSerialization:
         assert record["vocabulary"] == ["I", "P", "S", "T"]
         assert record["literal"] == "!I"
         assert replay_violation(record)  # sigma really does violate A1 here
+
+    def test_empty_group_is_a_bare_constraint_line(self):
+        kbs = tuple(parse(kb) for kb in CO_OWNERS_KBS)
+        mu = parse(CO_OWNERS_CONSTRAINT)
+        inst = PostulateInstance(((kbs[2], kbs[3]), ()), (mu,), parse("!I"))
+        record = serialize_violation(PostulateId.A1, "sigma", 0, inst)
+        assert record["profiles"][1] == f"constraint: {format_formula(mu)}\n"
+        assert instance_from_record(record) == inst
 
     def test_vacuous_instance_has_no_record(self):
         inst = PostulateInstance(((parse("p"),), (parse("q"),)),
