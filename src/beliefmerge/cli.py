@@ -8,8 +8,9 @@ invocations; diagnostics and warnings go to stderr.  Exit codes:
     2  parse error (formula or profile file), including a formula nested
        deeper than ``formula.MAX_DEPTH`` levels
     3  invalid input: inconsistent KB, a vocabulary over the cap, a
-       ``--max-vocab`` outside 0..``semantics.MAX_VOCAB_CAP``, bad bounds,
-       or a file that cannot be read or written
+       ``--max-vocab`` outside 0..``semantics.MAX_VOCAB_CAP``, a
+       ``--max-kbs`` outside 1..``postulates.MAX_KBS``, bad bounds, or a
+       file that cannot be read or written
     4  inconsistent integrity constraint (degenerate false result printed)
     5  the two formulas of ``equiv`` are not equivalent
 """

@@ -377,7 +377,7 @@ def _least_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]:
     a search by size would take when one small set succeeds beside many
     larger minimal ones: with KB1 = x & !y1 & ... & !ym and KB2 = x -> (at
     least m/2 of the y), f1 is {x} but f2's family has C(m, m/2) + 1 sets
-    (m = 12: 0.27 s, against 0.3 ms for a search by size)."""
+    (m = 12: 0.09-0.11 s, against 0.1 ms for a search by size)."""
     family = _minimal_sets(table, mu_vector)
     least = min(mask.bit_count() for mask, _ in family)
     return [(mask, vector) for mask, vector in family if mask.bit_count() == least]
@@ -389,21 +389,17 @@ def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]
     of the family found so far lies inside ``pool - h`` for some minimal
     hitting set h of that family, so the family is complete once every such
     top fails; a top that succeeds is shrunk, one variable at a time, to a
-    new minimal member.  Tops that failed stay failed and are not tested
-    again."""
+    new minimal member.  Successful sets are closed upward, so a failed
+    top's h hits every later member and Berge's update keeps it in front:
+    the first ``tested`` transversals are exactly the failed tops."""
     found: list[tuple[int, int]] = []
-    transversals, failed = [0], set()
-    while True:
-        for hit in transversals:
-            top = table.pool ^ hit
-            if top in failed:
-                continue
-            vector = table.shared(top, mu_vector)
-            if vector:
-                break
-            failed.add(top)
-        else:
-            return found
+    transversals, tested = [0], 0
+    while tested < len(transversals):
+        top = table.pool ^ transversals[tested]
+        vector = table.shared(top, mu_vector)
+        if not vector:
+            tested += 1
+            continue
         minimal = top
         for i in _iter_masks(top):
             trial = minimal ^ 1 << i
@@ -412,18 +408,18 @@ def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]
                 minimal, vector = trial, narrowed
         found.append((minimal, vector))
         transversals = _transversals_with(transversals, minimal)
+    return found
 
 
 def _transversals_with(transversals: list[int], new: int) -> list[int]:
     """Minimal hitting sets of a family with ``new`` added, from those of
-    the family before (Berge): keep the ones that hit ``new``, extend the
-    others by each of its members, and drop every non-minimal result."""
+    the family before (Berge): keep the ones that hit ``new``, in order,
+    and extend each other h by each v in ``new`` unless h | {v} holds a
+    kept set.  Grown sets are distinct and hold no other: h' | {v'} inside
+    h | {v} puts h' inside h (h' misses ``new``), so h' = h and v' = v."""
     kept = [h for h in transversals if h & new]
-    grown = dict.fromkeys(h | 1 << i for h in transversals if not h & new
-                          for i in _iter_masks(new))
-    return kept + [g for g in grown
-                   if not any(k & g == k for k in kept)
-                   and not any(o != g and o & g == o for o in grown)]
+    grown = (h | 1 << i for h in transversals if not h & new for i in _iter_masks(new))
+    return kept + [g for g in grown if not any(k & g == k for k in kept)]
 
 
 def _family_merge(profile: Profile, tag: str,

@@ -310,6 +310,9 @@ EXPECTED_FAIL: dict[str, frozenset[PostulateId]] = {
 # random instance generation
 
 VAR_POOL = ("p", "q", "r", "s", "t", "u", "v", "w")
+# a full default check (13 postulates x 100 trials) at 64 KBs takes a few
+# seconds per operator; the cost of more KBs has no other bound
+MAX_KBS = 64
 
 
 @dataclass(frozen=True)
@@ -321,8 +324,8 @@ class GeneratorBounds:
     def __post_init__(self):
         if not 1 <= self.max_vars <= len(VAR_POOL):
             raise ValueError(f"max_vars must be in 1..{len(VAR_POOL)}")
-        if self.max_kbs < 1:
-            raise ValueError("max_kbs must be at least 1")
+        if not 1 <= self.max_kbs <= MAX_KBS:
+            raise ValueError(f"max_kbs must be in 1..{MAX_KBS}")
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:

@@ -298,6 +298,18 @@ class TestCheck:
         assert (code, out, err) == (3, "", f"error: {message}\n")
         assert not report.exists()
 
+    def test_max_kbs_over_the_ceiling_exit_3(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, out, err = invoke(capsys, "check", "-o", "sigma", "--max-kbs", "65",
+                                "--trials", "1", "--report", str(report))
+        assert (code, out, err) == (3, "", "error: max_kbs must be in 1..64\n")
+        assert not report.exists()
+
+    def test_max_kbs_at_the_ceiling(self, capsys):
+        code, out, _ = invoke(capsys, "check", "-o", "sigma", "--postulates", "IC0",
+                              "--max-kbs", "64", "--trials", "1")
+        assert (code, out) == (0, "sigma IC0: pass (0 violations in 1 trials)\n")
+
     def test_max_vocab_reaches_the_harness(self, capsys):
         code, out, err = invoke(capsys, "check", "-o", "sigma", "--postulates", "IC0",
                                 "--trials", "1", "--max-vocab", "2")

@@ -36,6 +36,7 @@ from beliefmerge import (
     truth_vector,
     variables,
 )
+from beliefmerge.merging import _transversals_with
 from beliefmerge.postulates import VAR_POOL, random_consistent_formula, random_dnf
 
 
@@ -263,6 +264,63 @@ class TestFamilyOracle:
         assert sum(len({len(c) for c in family}) > 1
                    for family in minimal_families) >= 5
         assert max(len(family) for family in minimal_families) >= 4
+
+
+def threshold_profile(m):
+    """KB1 = x0 & !y01 & ... & !ym and KB2 = x0 -> (at least m/2 of the y),
+    written as a DNF of (m/2)-subsets.  f1 is {x0}; f2's family also holds
+    every set of m/2 y's."""
+    ys = [f"y{j:02}" for j in range(1, m + 1)]
+    at_least = " | ".join(" & ".join(chosen) for chosen in combinations(ys, m // 2))
+    return Profile((parse(" & ".join(["x0", *("!" + y for y in ys)])),
+                    parse(f"x0 -> {at_least}")))
+
+
+class TestThresholdProbe:
+    def test_families_match_syntactic_forgetting(self):
+        prof = threshold_profile(6)
+        oracle = family_oracle(prof)
+        for tag in ("f1", "f2"):
+            result = OPERATORS[tag](prof)
+            assert result.forgetting_family == oracle[tag][0], tag
+            assert result.model_set.masks == oracle[tag][1], tag
+        assert len(oracle["f2"][0]) == 21
+
+    def test_wide_family_at_m_12(self):
+        prof = threshold_profile(12)
+        assert merge_f1(prof).forgetting_family == (("x0",),)
+        family = merge_f2(prof).forgetting_family
+        assert len(family) == 925
+        assert family[0] == ("x0",)
+        assert all(len(chosen) == 6 and "x0" not in chosen for chosen in family[1:])
+
+
+def minimal_hitting_sets(family, width):
+    """Every inclusion-minimal mask over ``width`` bits that meets each
+    member of ``family``, by enumeration."""
+    hitting = [mask for mask in range(1 << width)
+               if all(mask & member for member in family)]
+    return sorted(mask for mask in hitting
+                  if not any(other != mask and other & mask == other for other in hitting))
+
+
+def test_transversals_with_matches_brute_force():
+    """Berge's update, one antichain member at a time, as f2's joint
+    generation grows its family."""
+    rng = random.Random("transversals")
+    updates = 0
+    while updates < 2000:
+        width = rng.randint(1, 8)
+        family, transversals = [], [0]
+        for _ in range(rng.randint(1, 6)):
+            new = rng.randrange(1 << width)
+            if any((member & new) in (member, new) for member in family):
+                continue
+            family.append(new)
+            transversals = _transversals_with(transversals, new)
+            assert len(set(transversals)) == len(transversals), (family, transversals)
+            assert sorted(transversals) == minimal_hitting_sets(family, width), family
+            updates += 1
 
 
 # f1 on 4 random DNF KBs drawn over 18 names, run alone so that its peak RSS
