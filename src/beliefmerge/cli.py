@@ -131,7 +131,7 @@ def run() -> None:
 # commands
 
 def _cmd_merge(args) -> int:
-    with open(args.input, encoding="utf-8") as handle:
+    with open(args.input, encoding="utf-8-sig") as handle:
         profile = parse_profile(handle.read(), cap=args.max_vocab)
     if len(profile.vocabulary) > MERGE_WARN_VARS:
         print(f"warning: merging over {len(profile.vocabulary)} variables "
@@ -176,7 +176,7 @@ def _load_formula(args):
     if (args.formula is None) == (args.input is None):
         raise ValueError("give exactly one of: a formula argument, --input FILE")
     if args.input is not None:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8-sig") as handle:
             return parse(handle.read())
     return parse(args.formula)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class Formula:
@@ -146,24 +146,15 @@ def fold_constants(formula: Formula) -> Formula:
             return child.child
         return Not(child)
     if isinstance(formula, (And, Or)):
-        is_and = isinstance(formula, And)
-        absorber, neutral = (False, True) if is_and else (True, False)
-        flat: list[Formula] = []
-        for raw in formula.children:
-            child = fold_constants(raw)
+        absorber = isinstance(formula, Or)
+        parts: list[Formula] = []
+        for child in map(fold_constants, formula.children):
             if isinstance(child, Constant):
                 if child.value == absorber:
-                    return Constant(absorber)
+                    return child
                 continue  # neutral element
-            if isinstance(child, And if is_and else Or):
-                flat.extend(child.children)
-            else:
-                flat.append(child)
-        if not flat:
-            return Constant(neutral)
-        if len(flat) == 1:
-            return flat[0]
-        return And(tuple(flat)) if is_and else Or(tuple(flat))
+            parts.append(child)
+        return _flattened(type(formula), parts, FALSE if absorber else TRUE)
     if isinstance(formula, Implies):
         lhs = fold_constants(formula.lhs)
         rhs = fold_constants(formula.rhs)
@@ -229,54 +220,16 @@ class ParseError(Exception):
         self.token = token
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCTUATION = ("<->", "->", "&", "|", "!", "(", ")")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, column = 1, 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            column = 1
-            pos += 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            column += 1
-            continue
-        if ch == "#":
-            nl = text.find("\n", pos)
-            pos = len(text) if nl < 0 else nl
-            continue
-        match = _IDENT_RE.match(text, pos)
-        if match:
-            word = match.group()
-            tokens.append(_Token("ident", word, line, column))
-            pos += len(word)
-            column += len(word)
-            continue
-        for punct in _PUNCTUATION:
-            if text.startswith(punct, pos):
-                tokens.append(_Token(punct, punct, line, column))
-                pos += len(punct)
-                column += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, column, ch)
-    tokens.append(_Token("eof", "", line, column))
-    return tokens
+# one match per identifier, connective, parenthesis, blank run or comment;
+# any other character matches the last group alone
+_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct><->|->|[&|!()])"
+                       r"|[ \t\r\n]+|(?P<comment>#.*)|(?P<bad>.)")
 
 
 # The parser and every walk over a tree recurse at least once per level;
@@ -290,17 +243,35 @@ class _Parser:
     ``open`` counts the levels the recursion is inside of, so that it stops
     as soon as they alone cross the bound."""
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[_Token] = []
         self.pos = 0
         self.open = 0
+        end = len(text)
+        for match in _TOKEN_RE.finditer(text):
+            kind, word, offset = match.lastgroup, match.group(), match.start()
+            if kind == "ident":
+                self.tokens.append(_Token(kind, word, offset))
+            elif kind == "punct":
+                self.tokens.append(_Token(word, word, offset))
+            elif kind == "bad":
+                raise self._error(f"unexpected character {word!r}", _Token(kind, word, offset))
+            elif kind == "comment" and match.end() == end:
+                end = offset  # input that ends in a comment ends at its '#'
+        self.tokens.append(_Token("eof", "", end))
+
+    def _error(self, message: str, tok: _Token) -> ParseError:
+        """The error at ``tok``; only here are line and column worked out."""
+        line_start = self.text.rfind("\n", 0, tok.offset)
+        return ParseError(message, self.text.count("\n", 0, tok.offset) + 1,
+                          tok.offset - line_start, tok.text)
 
     def parse(self) -> Formula:
         node, _ = self._iff()
         tok = self._peek()
         if tok.kind != "eof":
-            raise ParseError(f"unexpected token {tok.text!r} after formula",
-                             tok.line, tok.column, tok.text)
+            raise self._error(f"unexpected token {tok.text!r} after formula", tok)
         return node
 
     def _peek(self) -> _Token:
@@ -313,8 +284,7 @@ class _Parser:
 
     def _level(self, depth: int, tok: _Token) -> int:
         if depth > MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
-                             tok.line, tok.column, tok.text)
+            raise self._error(f"formula nested deeper than {MAX_DEPTH} levels", tok)
         return depth
 
     def _iff(self) -> tuple[Formula, int]:
@@ -384,12 +354,11 @@ class _Parser:
             closing = self._peek()
             if closing.kind != ")":
                 found = repr(closing.text) if closing.kind != "eof" else "end of input"
-                raise ParseError(f"expected ')', found {found}",
-                                 closing.line, closing.column, closing.text)
+                raise self._error(f"expected ')', found {found}", closing)
             self._advance()
             return node, self._level(depth + 1, tok)
         found = repr(tok.text) if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected a formula, found {found}", tok.line, tok.column, tok.text)
+        raise self._error(f"expected a formula, found {found}", tok)
 
 
 def parse(text: str) -> Formula:
@@ -408,4 +377,4 @@ def parse(text: str) -> Formula:
     More than ``MAX_DEPTH`` levels of connectives and parentheses is a
     :class:`ParseError`.
     """
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()

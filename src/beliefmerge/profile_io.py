@@ -46,9 +46,9 @@ def parse_profile_parts(text: str) -> tuple[tuple[Formula, ...], Formula | None,
         elif key == "constraint":
             if constraint is not None:
                 raise ParseError("a profile admits only one constraint line", lineno, 1)
-            constraint = _parse_formula(value, lineno)
+            constraint = _parse_formula(value, raw, lineno)
         else:
-            kbs.append(_parse_formula(value, lineno))
+            kbs.append(_parse_formula(value, raw, lineno))
     return tuple(kbs), constraint, tuple(sorted(set(extra)))
 
 
@@ -66,12 +66,17 @@ def parse_profile(text: str, cap: int = DEFAULT_VOCAB_CAP) -> Profile:
                    extra_vars=extra, cap=cap)
 
 
-def _parse_formula(text: str, lineno: int) -> Formula:
+def _parse_formula(text: str, raw: str, lineno: int) -> Formula:
+    """Parse ``text``, the value of the file line ``raw``.  An error gives
+    its column in the file: the value starts at the first non-blank after
+    the colon (``raw.index(value)`` would find the key in ``kb: kb``)."""
     try:
         return parse(text)
     except ParseError as exc:
+        after = raw[raw.index(":") + 1:]
+        start = len(raw) - len(after.lstrip())
         raise ParseError(f"{exc.message} (in the formula on this line)",
-                         lineno, exc.column, exc.token) from None
+                         lineno, start + exc.column, exc.token) from None
 
 
 def profile_to_text(profile: Profile) -> str:

@@ -74,6 +74,14 @@ class TestMerge:
         assert code == 2
         assert "line 1" in err
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, co_owners_path):
+        marked = tmp_path / "marked.profile"
+        marked.write_text("\ufeff" + co_owners_path.read_text(encoding="utf-8"),
+                          encoding="utf-8")
+        code, out, err = invoke(capsys, "merge", "-f", str(marked), "-o", "f1")
+        assert (code, out) == (0, CO_OWNERS_F1_DNF + "\n")
+        assert "FS = {P, S, T}" in err
+
     def test_inconsistent_kb_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.profile"
         bad.write_text("kb: p & !p\n")
@@ -129,6 +137,12 @@ class TestMerge:
 
 
 class TestFormulaCommands:
+    def test_forget_skips_a_byte_order_mark(self, capsys, tmp_path):
+        marked = tmp_path / "marked.formula"
+        marked.write_text("\ufeffS & T & P\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "forget", "-f", str(marked), "--vars", "S")
+        assert (code, out, err) == (0, "P & T\nmodels: 1\n", "")
+
     def test_forget_everything(self, capsys):
         code, out, _ = invoke(capsys, "forget", "S & T & P", "--vars", "S,T,P")
         assert code == 0

@@ -11,6 +11,7 @@ from beliefmerge import (
     FORGETTING_FORMS,
     InconsistentKBError,
     OPERATORS,
+    ParseError,
     Profile,
     TRUE,
     VocabularyCapError,
@@ -202,6 +203,18 @@ class TestProfile:
             again = parse_profile(profile_to_text(prof))
             assert again == prof
             assert again.vocabulary == prof.vocabulary
+
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("kb: p\nkb:    p & \n", 2, 11, "expected a formula, found end of input"),
+        ("kb:  p @ q\n", 1, 8, "unexpected character '@'"),
+        ("  constraint:\tp )  # c\n", 1, 17, "unexpected token ')' after formula"),
+        ("kb: kb\nkb: kb: kb\n", 2, 7, "unexpected character ':'"),
+    ])
+    def test_formula_errors_give_file_columns(self, text, line, column, message):
+        with pytest.raises(ParseError) as info:
+            parse_profile(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert info.value.message == f"{message} (in the formula on this line)"
 
 
 class TestCoOwners:
