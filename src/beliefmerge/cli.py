@@ -6,7 +6,8 @@ invocations; diagnostics and warnings go to stderr.  Exit codes:
     0  success
     1  a claimed-pass postulate cell recorded a violation
     2  parse error (formula or profile file), including a formula nested
-       deeper than ``formula.MAX_DEPTH`` levels
+       deeper than ``formula.MAX_DEPTH`` levels, or a usage error; a
+       formula that starts with ``-`` goes after ``--``
     3  invalid input: inconsistent KB, a vocabulary over the cap, a
        ``--max-vocab`` outside 0..``semantics.MAX_VOCAB_CAP``, a
        ``--max-kbs`` outside 1..``postulates.MAX_KBS``, bad bounds, or a
@@ -109,7 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
     try:
         if not 0 <= args.max_vocab <= MAX_VOCAB_CAP:
             raise ValueError(f"--max-vocab must be between 0 and {MAX_VOCAB_CAP}")
@@ -264,6 +268,8 @@ def _cmd_check(args) -> int:
                     "postulate": cell.postulate.value,
                     "verdict": cell.verdict,
                     "trials": cell.trials,
+                    "live_trials": cell.live_trials,
+                    "vacuous_trials": cell.vacuous_trials,
                     "violations": list(cell.violations),
                 } for cell in cells],
             }

@@ -63,7 +63,8 @@ class Profile:
     Construction refuses a vocabulary wider than ``cap``, then compiles
     the KBs and the constraint to truth tables over it.  ``kb_masks`` holds
     each KB's own variables as a mask, bit j standing for ``vocabulary[j]``.
-    ``extra_vars`` is held sorted and free of duplicates.
+    ``extra_vars`` is held sorted and free of duplicates.  A caller that has
+    compiled the pieces already builds the profile with :meth:`compiled`.
     """
 
     kbs: tuple[Formula, ...]
@@ -77,22 +78,40 @@ class Profile:
     kb_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kbs", tuple(self.kbs))
-        object.__setattr__(self, "extra_vars", tuple(sorted(set(self.extra_vars))))
-        if not self.kbs:
-            raise ValueError("a profile needs at least one knowledge base")
-        own = [variables(kb) for kb in self.kbs]
-        vocab = tuple(sorted(set(self.extra_vars).union(variables(self.constraint), *own)))
-        tables = tuple(truth_vector(kb, vocab, self.cap) for kb in self.kbs)
-        if 0 in tables:
-            raise InconsistentKBError(tables.index(0))
+        kbs, extra = tuple(self.kbs), tuple(sorted(set(self.extra_vars)))
+        own = [variables(kb) for kb in kbs]
+        vocab = tuple(sorted(set(extra).union(variables(self.constraint), *own)))
+        tables = tuple(truth_vector(kb, vocab, self.cap) for kb in kbs)
         bit = {name: 1 << j for j, name in enumerate(vocab)}
-        object.__setattr__(self, "vocabulary", vocab)
-        object.__setattr__(self, "constraint_table",
-                           truth_vector(self.constraint, vocab, self.cap))
-        object.__setattr__(self, "kb_tables", tables)
-        object.__setattr__(self, "kb_masks",
-                           tuple(sum(bit[name] for name in names) for names in own))
+        self._settle(kbs, self.constraint, extra, self.cap, vocab, tables,
+                     tuple(sum(bit[name] for name in names) for names in own),
+                     truth_vector(self.constraint, vocab, self.cap))
+
+    @classmethod
+    def compiled(cls, kbs: Sequence[Formula], constraint: Formula,
+                 vocabulary: tuple[str, ...], kb_tables: Sequence[int],
+                 kb_masks: Sequence[int], constraint_table: int,
+                 cap: int) -> "Profile":
+        """The profile ``Profile(kbs, constraint, vocabulary, cap)`` from
+        tables the caller has compiled over the sorted ``vocabulary``,
+        which holds every name the formulas mention; nothing is walked or
+        evaluated again."""
+        profile = cls.__new__(cls)
+        profile._settle(tuple(kbs), constraint, vocabulary, cap, vocabulary,
+                        tuple(kb_tables), tuple(kb_masks), constraint_table)
+        return profile
+
+    def _settle(self, kbs, constraint, extra_vars, cap, vocabulary,
+                kb_tables, kb_masks, constraint_table) -> None:
+        if not kbs:
+            raise ValueError("a profile needs at least one knowledge base")
+        if 0 in kb_tables:
+            raise InconsistentKBError(kb_tables.index(0))
+        for name, value in (("kbs", kbs), ("constraint", constraint),
+                            ("extra_vars", extra_vars), ("cap", cap),
+                            ("vocabulary", vocabulary), ("kb_tables", kb_tables),
+                            ("kb_masks", kb_masks), ("constraint_table", constraint_table)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

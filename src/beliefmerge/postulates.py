@@ -46,7 +46,6 @@ from .semantics import (
     ModelSet,
     is_consistent,
     truth_vector,
-    vocabulary_union,
 )
 
 
@@ -96,19 +95,42 @@ def _negated(literal: Formula) -> Formula:
 class _Tables:
     """Formulas and merges of one instance as truth tables over its whole
     vocabulary.  Variables a merge's own KBs and constraint do not mention
-    are free, so its winners are the cylinder of the narrower answer."""
+    are free, so its winners are the cylinder of the narrower answer.
+
+    Each formula of the instance is walked once for its names, which give
+    the vocabulary and its own-variable mask, and compiled at most once.
+    Tables are memoised by formula identity, and the memo holds each
+    formula so that its id cannot be reused; every merge's profile is built
+    from the memo."""
 
     def __init__(self, operator: MergeOperator, instance: PostulateInstance, cap: int):
         literal = () if instance.literal is None else (instance.literal,)
-        kbs = [kb for group in instance.groups for kb in group]
-        self.vocabulary = vocabulary_union(*kbs, *instance.constraints, *literal)
+        formulas = [kb for group in instance.groups for kb in group]
+        formulas += [*instance.constraints, *literal]
+        own = {id(f): (f, variables(f)) for f in formulas}
+        self.vocabulary = tuple(sorted(set().union(*(names for _, names in own.values()))))
+        bit = {name: 1 << j for j, name in enumerate(self.vocabulary)}
+        self._masks = {key: (f, sum(bit[name] for name in names))
+                       for key, (f, names) in own.items()}
+        self._tables: dict[int, tuple[Formula, int]] = {}
         self.operator, self.cap = operator, cap
 
     def of(self, formula: Formula) -> int:
-        return truth_vector(formula, self.vocabulary, self.cap)
+        entry = self._tables.get(id(formula))
+        if entry is None:
+            entry = formula, truth_vector(formula, self.vocabulary, self.cap)
+            self._tables[id(formula)] = entry
+        return entry[1]
+
+    def mask(self, formula: Formula) -> int:
+        """Own-variable mask of a formula of the instance."""
+        return self._masks[id(formula)][1]
 
     def merge(self, kbs: Sequence[Formula], constraint: Formula) -> int:
-        profile = Profile(tuple(kbs), constraint, self.vocabulary, self.cap)
+        profile = Profile.compiled(kbs, constraint, self.vocabulary,
+                                   [self.of(kb) for kb in kbs],
+                                   [self.mask(kb) for kb in kbs],
+                                   self.of(constraint), self.cap)
         return self.operator(profile).model_set.table
 
 
@@ -227,7 +249,7 @@ def _a1(inst, t):
     fixed = t.of(literal)
     if any(not _entails(t.of(kb), fixed) for kb in special):
         return None
-    if set(variables(literal)) & set(vocabulary_union(*rest)):
+    if any(t.mask(literal) & t.mask(kb) for kb in rest):
         return None
     bound = fixed & t.of(mu)
     if not bound:
@@ -516,12 +538,19 @@ def _a2_instance(bounds, rng, names) -> PostulateInstance:
 class CheckReport:
     """Outcome of one randomized cell.  ``verdict`` is ``fail`` exactly when
     violations were recorded; clean Maj/MI cells are ``bounded-pass``
-    because their quantifiers are truncated."""
+    because their quantifiers are truncated.  ``vacuous_trials`` counts the
+    trials that passed only because their antecedent was false; the rest
+    are live."""
 
     postulate: PostulateId
     operator: str
     trials: int
     violations: tuple[dict, ...]
+    vacuous_trials: int
+
+    @property
+    def live_trials(self) -> int:
+        return self.trials - self.vacuous_trials
 
     @property
     def verdict(self) -> str:
@@ -540,15 +569,17 @@ def check_randomized(postulate: PostulateId, operator: str, trials: int,
     from (seed, i) alone.  Each violation is recorded from the outcome that
     decided it, with no second run."""
     op = OPERATORS[operator]
-    violations = []
+    violations, vacuous = [], 0
     for trial in range(trials):
         rng = _trial_rng(bounds.seed, trial)
         instance = instance_for(postulate, bounds, rng, cap)
         vocab, outcome = _decide(postulate, op, instance, cap)
-        if outcome is not None and not outcome[2]:
+        if outcome is None:
+            vacuous += 1
+        elif not outcome[2]:
             violations.append(_record(postulate, operator, trial, instance,
                                       vocab, outcome))
-    return CheckReport(postulate, operator, trials, tuple(violations))
+    return CheckReport(postulate, operator, trials, tuple(violations), vacuous)
 
 
 def serialize_violation(postulate: PostulateId, operator: str, trial: int,

@@ -18,15 +18,19 @@ from .merging import Profile
 from .semantics import DEFAULT_VOCAB_CAP
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
 def parse_profile_parts(text: str) -> tuple[tuple[Formula, ...], Formula | None, tuple[str, ...]]:
     """Raw pieces of a profile file: KBs, constraint (None if absent),
-    declared extra variables.  Does not require any ``kb:`` line."""
+    declared extra variables.  Does not require any ``kb:`` line.  Lines
+    end at a line feed, a carriage return or both, as in a file read in
+    text mode; ``str.splitlines`` would also end them at form feeds and
+    other separators, which shifts every later line number."""
     kbs: list[Formula] = []
     constraint: Formula | None = None
     extra: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -199,6 +199,20 @@ class TestFormulaCommands:
         assert code == 2
         assert "column" in err
 
+    def test_usage_error_is_returned_not_raised(self, capsys):
+        # argparse reads "->p" as an option; after "--" it is a formula
+        code, out, err = invoke(capsys, "equiv", "->p", "p")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:")
+        code, _, err = invoke(capsys, "equiv", "--", "->p", "p")
+        assert code == 2
+        assert err.startswith("error: line 1, column 1:")
+
+    def test_help_is_returned_not_raised(self, capsys):
+        code, out, err = invoke(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: beliefmerge")
+
     @pytest.mark.parametrize("deep", [
         "(" * 3000 + "p" + ")" * 3000,
         "!" * 5000 + "p",
@@ -264,6 +278,20 @@ class TestCheck:
         assert cells["Maj"]["violations"]
         for record in cells["Maj"]["violations"]:
             assert replay_violation(record)
+
+    def test_report_counts_live_and_vacuous_trials(self, capsys, tmp_path):
+        argv = ["check", "-o", "sigma", "--postulates", "IC2,IC3,IC6",
+                "--trials", "30", "--max-kbs", "8", "--seed", "42"]
+        report_path = tmp_path / "report.json"
+        code, out, _ = invoke(capsys, *argv, "--report", str(report_path))
+        assert code == 0
+        assert invoke(capsys, *argv) == (code, out, "")  # stdout as without --report
+        cells = {cell["postulate"]: cell for cell in json.loads(report_path.read_text())["cells"]}
+        for cell in cells.values():
+            assert cell["live_trials"] + cell["vacuous_trials"] == cell["trials"] == 30
+        assert cells["IC3"]["vacuous_trials"] == 0
+        assert cells["IC2"]["vacuous_trials"] > 0
+        assert cells["IC6"]["vacuous_trials"] > 0
 
     def test_unwritable_report_exit_3(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "check", "-o", "sigma", "--postulates", "IC0",

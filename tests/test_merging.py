@@ -38,6 +38,7 @@ from beliefmerge import (
     variables,
 )
 from beliefmerge.merging import _transversals_with
+from beliefmerge.semantics import DEFAULT_VOCAB_CAP
 from beliefmerge.postulates import VAR_POOL, random_consistent_formula, random_dnf
 
 
@@ -192,6 +193,37 @@ class TestProfile:
             Profile((parse("p"),), extra_vars=wide)
         with pytest.raises(VocabularyCapError):
             Profile((parse("p & q"), parse("r | s")), cap=3)
+
+    def test_compiled_profile_equals_the_constructed_one(self):
+        kbs, mu = (parse("p"), parse("r -> p"), parse("p")), parse("q")
+        built = Profile(kbs, mu, extra_vars=("z",))
+        vocab = built.vocabulary
+        compiled = Profile.compiled(kbs, mu, vocab, built.kb_tables, built.kb_masks,
+                                    built.constraint_table, DEFAULT_VOCAB_CAP)
+        assert compiled == Profile(kbs, mu, extra_vars=vocab)
+        for name in ("vocabulary", "kb_tables", "kb_masks", "constraint_table"):
+            assert getattr(compiled, name) == getattr(built, name)
+        for tag in sorted(OPERATORS):
+            assert OPERATORS[tag](compiled) == OPERATORS[tag](built)
+
+    def test_compiled_profile_keeps_the_checks(self):
+        with pytest.raises(ValueError):
+            Profile.compiled((), TRUE, ("p",), (), (), 0b11, DEFAULT_VOCAB_CAP)
+        with pytest.raises(InconsistentKBError) as info:
+            Profile.compiled((parse("p"), parse("p & !p")), TRUE, ("p",),
+                             (0b10, 0), (1, 1), 0b11, DEFAULT_VOCAB_CAP)
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                           "\x85", "\u2028", "\u2029"])
+    def test_only_line_breaks_end_a_line(self, separator):
+        # str.splitlines would end the first line at the separator too
+        for text, line in ((f"kb: p & q {separator}\nkb: r @", 2),
+                           (f"kb: p # {separator} note\r\nkb: r @", 2),
+                           (f"\rkb: q\r\rkb: p & q {separator}\nkb: r @", 5)):
+            with pytest.raises(ParseError) as info:
+                parse_profile(text)
+            assert (info.value.line, info.value.column) == (line, 7)
 
     def test_cap_is_not_part_of_equality(self):
         assert Profile((parse("p"),), cap=1) == Profile((parse("p"),))

@@ -29,6 +29,7 @@ from beliefmerge import (
     serialize_violation,
     variables,
 )
+from beliefmerge import postulates
 from beliefmerge.merging import OPERATORS
 from beliefmerge.semantics import DEFAULT_VOCAB_CAP
 from beliefmerge.postulates import (
@@ -212,9 +213,38 @@ class TestRandomizedSuites:
         assert replay_violation(json.loads(json.dumps(record)))
 
     def test_report_invariant(self):
-        assert CheckReport(PostulateId.IC0, "sigma", 10, ({},)).verdict == "fail"
-        assert CheckReport(PostulateId.IC0, "sigma", 10, ()).verdict == "pass"
-        assert CheckReport(PostulateId.MAJ, "sigma", 10, ()).verdict == "bounded-pass"
+        assert CheckReport(PostulateId.IC0, "sigma", 10, ({},), 0).verdict == "fail"
+        assert CheckReport(PostulateId.IC0, "sigma", 10, (), 0).verdict == "pass"
+        assert CheckReport(PostulateId.MAJ, "sigma", 10, (), 0).verdict == "bounded-pass"
+
+    def test_live_and_vacuous_trials_on_the_co_owners_instance(self, monkeypatch):
+        # the four co-owners KBs are jointly inconsistent, so IC2 is vacuous;
+        # A1's !I is entailed by its supporters and foreign to the rest
+        instances = {PostulateId.IC2: co_owners_instance_a2(),
+                     PostulateId.A1: co_owners_instance_a1()}
+        monkeypatch.setattr(postulates, "instance_for",
+                            lambda pid, *_: instances[pid])
+        vacuous = check_randomized(PostulateId.IC2, "sigma", 3, self.BOUNDS)
+        assert (vacuous.live_trials, vacuous.vacuous_trials) == (0, 3)
+        assert vacuous.verdict == "pass"
+        live = check_randomized(PostulateId.A1, "sigma", 3, self.BOUNDS)
+        assert (live.live_trials, live.vacuous_trials) == (3, 0)
+        assert len(live.violations) == 3
+
+    def test_vacuous_trials_are_the_false_antecedents(self):
+        # IC2's antecedent is the joint consistency of the KBs and constraint;
+        # with up to 8 KBs the generator's bias toward it often gives up
+        bounds = GeneratorBounds(max_vars=4, max_kbs=8, seed=42)
+        report = check_randomized(PostulateId.IC2, "sigma", 40, bounds)
+        false = 0
+        for trial in range(40):
+            inst = instance_for(PostulateId.IC2, bounds, _trial_rng(42, trial))
+            (group,), (mu,) = inst.groups, inst.constraints
+            false += not is_consistent(conj([*group, mu]))
+        assert 0 < report.vacuous_trials == false < 40
+        assert report.live_trials == 40 - false
+        # IC3's twin is an equivalent rewrite, so its antecedent always holds
+        assert check_randomized(PostulateId.IC3, "sigma", 40, bounds).live_trials == 40
 
     def test_sampled_matrix_rows(self):
         # one claimed-pass cell per operator at a reduced budget; the full
