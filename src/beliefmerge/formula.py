@@ -11,8 +11,9 @@ constants out explicitly with :func:`fold_constants` when they want to.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 class Formula:
@@ -220,17 +221,17 @@ class ParseError(Exception):
         self.token = token
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int
+# one match per identifier, connective, parenthesis or comment; any other
+# character that is not blank matches the last alternative alone
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[&|!()]|#.*|[^ \t\r\n]")
 
+# the one-character texts that are tokens; any other is a bad character
+_SINGLES = frozenset(string.ascii_letters + "_&|!()")
 
-# one match per identifier, connective, parenthesis, blank run or comment;
-# any other character matches the last group alone
-_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct><->|->|[&|!()])"
-                       r"|[ \t\r\n]+|(?P<comment>#.*)|(?P<bad>.)")
+# how tightly each binary connective binds
+_BINDING = {"<->": 1, "->": 2, "|": 3, "&": 4}
 
+_CONSTANTS = {"true": TRUE, "false": FALSE}
 
 # The parser and every walk over a tree recurse at least once per level;
 # this keeps them well inside Python's default limit of 1000 frames.
@@ -238,127 +239,125 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent.  Each rule returns its node and the node's depth,
-    where every connective and every pair of parentheses is one level.
-    ``open`` counts the levels the recursion is inside of, so that it stops
-    as soon as they alone cross the bound."""
+    """Precedence climbing over the token texts, which end in ``""`` for
+    end of input.  Each rule returns its node and the node's depth, where
+    every connective and every pair of parentheses is one level.  ``open``
+    counts the levels the recursion is inside of, so that it stops as soon
+    as they alone cross the bound.  An error names its token by index."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[_Token] = []
+        self.tokens = _TOKEN_RE.findall(text)
+        if "#" in text:
+            self.tokens = [word for word in self.tokens if word[0] != "#"]
+        strange = set(self.tokens).difference(_SINGLES)
+        if strange and min(map(len, strange)) == 1:
+            at = next(i for i, word in enumerate(self.tokens)
+                      if len(word) == 1 and word in strange)
+            raise self._error(f"unexpected character {self.tokens[at]!r}", at)
+        self.tokens.append("")
         self.pos = 0
         self.open = 0
-        end = len(text)
-        for match in _TOKEN_RE.finditer(text):
-            kind, word, offset = match.lastgroup, match.group(), match.start()
-            if kind == "ident":
-                self.tokens.append(_Token(kind, word, offset))
-            elif kind == "punct":
-                self.tokens.append(_Token(word, word, offset))
-            elif kind == "bad":
-                raise self._error(f"unexpected character {word!r}", _Token(kind, word, offset))
-            elif kind == "comment" and match.end() == end:
-                end = offset  # input that ends in a comment ends at its '#'
-        self.tokens.append(_Token("eof", "", end))
 
-    def _error(self, message: str, tok: _Token) -> ParseError:
-        """The error at ``tok``; only here are line and column worked out."""
-        line_start = self.text.rfind("\n", 0, tok.offset)
-        return ParseError(message, self.text.count("\n", 0, tok.offset) + 1,
-                          tok.offset - line_start, tok.text)
+    def _error(self, message: str, at: int) -> ParseError:
+        """The error at token ``at``.  Only here is its offset found, by
+        scanning the text again; input that ends in a comment ends at its
+        '#'.  Line and column follow from the offset."""
+        text, token, count = self.text, self.tokens[at], at
+        offset = len(text)
+        for match in _TOKEN_RE.finditer(text):
+            if match.group()[0] == "#":
+                if match.end() == len(text):
+                    offset = match.start()
+            elif count:
+                count -= 1
+            else:
+                offset = match.start()
+                break
+        line_start = text.rfind("\n", 0, offset)
+        return ParseError(message, text.count("\n", 0, offset) + 1,
+                          offset - line_start, token)
 
     def parse(self) -> Formula:
-        node, _ = self._iff()
-        tok = self._peek()
-        if tok.kind != "eof":
-            raise self._error(f"unexpected token {tok.text!r} after formula", tok)
+        node, _ = self._binary(1)
+        if self.tokens[self.pos]:
+            raise self._error(f"unexpected token {self.tokens[self.pos]!r} after formula",
+                              self.pos)
         return node
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def _deep(self, at: int) -> ParseError:
+        return self._error(f"formula nested deeper than {MAX_DEPTH} levels", at)
 
-    def _advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _level(self, depth: int, tok: _Token) -> int:
-        if depth > MAX_DEPTH:
-            raise self._error(f"formula nested deeper than {MAX_DEPTH} levels", tok)
-        return depth
-
-    def _iff(self) -> tuple[Formula, int]:
-        node, depth = self._implies()
-        while self._peek().kind == "<->":
-            tok = self._advance()
-            rhs, rhs_depth = self._implies()
-            node, depth = Iff(node, rhs), self._level(max(depth, rhs_depth) + 1, tok)
+    def _binary(self, floor: int) -> tuple[Formula, int]:
+        """The longest formula from here whose connectives outside
+        parentheses bind at least as tightly as ``floor``.  ``&`` and ``|``
+        join flat chains in one loop; a chain's depth is checked at its
+        first token, an arrow's at the arrow, and ``->`` opens a level."""
+        tokens, start = self.tokens, self.pos
+        node, depth = self._unary()
+        binding = _BINDING.get(tokens[self.pos], 0)
+        while binding >= floor:
+            at = self.pos
+            word = tokens[at]
+            if binding >= 3:
+                parts = [node]
+                while tokens[self.pos] == word:
+                    self.pos += 1
+                    part, part_depth = self._unary() if binding == 4 else self._binary(4)
+                    parts.append(part)
+                    if part_depth > depth:
+                        depth = part_depth
+                node = (And if binding == 4 else Or)(tuple(parts))
+                mark = start
+            else:
+                self.pos += 1
+                if binding == 2:  # groups to the right
+                    if self.open == MAX_DEPTH:
+                        raise self._deep(at)
+                    self.open += 1
+                    rhs, rhs_depth = self._binary(2)
+                    self.open -= 1
+                    node = Implies(node, rhs)
+                else:  # groups to the left
+                    rhs, rhs_depth = self._binary(2)
+                    node = Iff(node, rhs)
+                if rhs_depth > depth:
+                    depth = rhs_depth
+                mark = at
+            if depth == MAX_DEPTH:
+                raise self._deep(mark)
+            depth += 1
+            binding = _BINDING.get(tokens[self.pos], 0)
         return node, depth
 
-    def _implies(self) -> tuple[Formula, int]:
-        node, depth = self._or()
-        if self._peek().kind == "->":
-            tok = self._advance()
-            self.open = self._level(self.open + 1, tok)
-            rhs, rhs_depth = self._implies()
+    def _unary(self) -> tuple[Formula, int]:
+        """``!``, an atom or a parenthesised formula; ``!`` and ``(`` each
+        open a level."""
+        at = self.pos
+        word = self.tokens[at]
+        self.pos = at + 1
+        if word == "!" or word == "(":
+            if self.open == MAX_DEPTH:
+                raise self._deep(at)
+            self.open += 1
+            if word == "!":
+                child, depth = self._unary()
+                node = Not(child)
+            else:
+                node, depth = self._binary(1)
+                closing = self.tokens[self.pos]
+                if closing != ")":
+                    found = repr(closing) if closing else "end of input"
+                    raise self._error(f"expected ')', found {found}", self.pos)
+                self.pos += 1
             self.open -= 1
-            return Implies(node, rhs), self._level(max(depth, rhs_depth) + 1, tok)
-        return node, depth
-
-    def _or(self) -> tuple[Formula, int]:
-        first = self._peek()
-        parts = [self._and()]
-        while self._peek().kind == "|":
-            self._advance()
-            parts.append(self._and())
-        return self._joined(Or, parts, first)
-
-    def _and(self) -> tuple[Formula, int]:
-        first = self._peek()
-        parts = [self._not()]
-        while self._peek().kind == "&":
-            self._advance()
-            parts.append(self._not())
-        return self._joined(And, parts, first)
-
-    def _joined(self, build, parts, tok: _Token) -> tuple[Formula, int]:
-        if len(parts) == 1:
-            return parts[0]
-        nodes, depths = zip(*parts)
-        return build(nodes), self._level(max(depths) + 1, tok)
-
-    def _not(self) -> tuple[Formula, int]:
-        tok = self._peek()
-        if tok.kind == "!":
-            self._advance()
-            self.open = self._level(self.open + 1, tok)
-            child, depth = self._not()
-            self.open -= 1
-            return Not(child), self._level(depth + 1, tok)
-        return self._atom()
-
-    def _atom(self) -> tuple[Formula, int]:
-        tok = self._peek()
-        if tok.kind == "ident":
-            self._advance()
-            if tok.text == "true":
-                return TRUE, 0
-            if tok.text == "false":
-                return FALSE, 0
-            return Atom(tok.text), 0
-        if tok.kind == "(":
-            self._advance()
-            self.open = self._level(self.open + 1, tok)
-            node, depth = self._iff()
-            self.open -= 1
-            closing = self._peek()
-            if closing.kind != ")":
-                found = repr(closing.text) if closing.kind != "eof" else "end of input"
-                raise self._error(f"expected ')', found {found}", closing)
-            self._advance()
-            return node, self._level(depth + 1, tok)
-        found = repr(tok.text) if tok.kind != "eof" else "end of input"
-        raise self._error(f"expected a formula, found {found}", tok)
+            if depth == MAX_DEPTH:
+                raise self._deep(at)
+            return node, depth + 1
+        if word in _BINDING or word == ")" or not word:
+            found = repr(word) if word else "end of input"
+            raise self._error(f"expected a formula, found {found}", at)
+        return _CONSTANTS.get(word) or Atom(word), 0
 
 
 def parse(text: str) -> Formula:

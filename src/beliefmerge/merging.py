@@ -35,12 +35,12 @@ from .formula import Formula, TRUE, variables
 from .semantics import (
     DEFAULT_VOCAB_CAP,
     ModelSet,
+    _compiler,
     _dilate_once,
     _flip,
     _iter_masks,
     _width_tables,
     to_dnf,
-    truth_vector,
 )
 
 
@@ -81,11 +81,12 @@ class Profile:
         kbs, extra = tuple(self.kbs), tuple(sorted(set(self.extra_vars)))
         own = [variables(kb) for kb in kbs]
         vocab = tuple(sorted(set(extra).union(variables(self.constraint), *own)))
-        tables = tuple(truth_vector(kb, vocab, self.cap) for kb in kbs)
+        table_of = _compiler(vocab, self.cap)
+        tables = tuple(map(table_of, kbs))
         bit = {name: 1 << j for j, name in enumerate(vocab)}
         self._settle(kbs, self.constraint, extra, self.cap, vocab, tables,
                      tuple(sum(bit[name] for name in names) for names in own),
-                     truth_vector(self.constraint, vocab, self.cap))
+                     table_of(self.constraint))
 
     @classmethod
     def compiled(cls, kbs: Sequence[Formula], constraint: Formula,
@@ -407,8 +408,11 @@ def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]
     mask with its winners, by joint generation.  A set containing no member
     of the family found so far lies inside ``pool - h`` for some minimal
     hitting set h of that family, so the family is complete once every such
-    top fails; a top that succeeds is shrunk, one variable at a time, to a
-    new minimal member.  Successful sets are closed upward, so a failed
+    top fails; a top that succeeds is shrunk, one variable at a time from
+    the highest down, to a new minimal member.  A trial then keeps the
+    bits kept above it plus the top's bits below it, a prefix whose
+    closure the memo built with the top's, so it flips only the kept bits
+    above.  Successful sets are closed upward, so a failed
     top's h hits every later member and Berge's update keeps it in front:
     the first ``tested`` transversals are exactly the failed tops."""
     found: list[tuple[int, int]] = []
@@ -420,7 +424,7 @@ def _minimal_sets(table: _ClosureTable, mu_vector: int) -> list[tuple[int, int]]
             tested += 1
             continue
         minimal = top
-        for i in _iter_masks(top):
+        for i in reversed(list(_iter_masks(top))):
             trial = minimal ^ 1 << i
             narrowed = table.shared(trial, mu_vector)
             if narrowed:

@@ -44,8 +44,8 @@ from .profile_io import format_profile, parse_profile_parts
 from .semantics import (
     DEFAULT_VOCAB_CAP,
     ModelSet,
+    _compiler,
     is_consistent,
-    truth_vector,
 )
 
 
@@ -113,12 +113,13 @@ class _Tables:
         self._masks = {key: (f, sum(bit[name] for name in names))
                        for key, (f, names) in own.items()}
         self._tables: dict[int, tuple[Formula, int]] = {}
+        self._table_of = _compiler(self.vocabulary, cap)
         self.operator, self.cap = operator, cap
 
     def of(self, formula: Formula) -> int:
         entry = self._tables.get(id(formula))
         if entry is None:
-            entry = formula, truth_vector(formula, self.vocabulary, self.cap)
+            entry = formula, self._table_of(formula)
             self._tables[id(formula)] = entry
         return entry[1]
 
@@ -372,7 +373,7 @@ def random_formula(rng: random.Random, names: Sequence[str], depth: int = 3) -> 
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.08:
             return TRUE if rng.random() < 0.5 else FALSE
-        return Atom(rng.choice(list(names)))
+        return Atom(rng.choice(names))
     kind = rng.choice(("not", "and", "or", "implies", "iff"))
     if kind == "not":
         return Not(random_formula(rng, names, depth - 1))
@@ -388,10 +389,13 @@ def random_formula(rng: random.Random, names: Sequence[str], depth: int = 3) -> 
 def random_consistent_formula(rng: random.Random, names: Sequence[str],
                               depth: int = 3) -> Formula:
     """Rejection-sampled consistent formula; falls back to a DNF, which is
-    consistent by construction, if rejection drags on."""
+    consistent by construction, if rejection drags on.  A candidate is
+    compiled over all of ``names``: a formula is consistent over any
+    vocabulary that holds its own names."""
+    table_of = _compiler(sorted(set(names)))
     for _ in range(50):
         candidate = random_formula(rng, names, depth)
-        if truth_vector(candidate, variables(candidate)):
+        if table_of(candidate):
             return candidate
     return random_dnf(rng, names)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .formula import (
     FALSE,
@@ -194,13 +194,20 @@ def _dilate_once(table: int, space: int, flips: tuple[tuple[int, int], ...]) -> 
 def truth_vector(formula: Formula, vocabulary: Iterable[str],
                  cap: int = DEFAULT_VOCAB_CAP) -> int:
     """Dense truth table of ``formula`` over ``vocabulary`` as a big integer."""
+    return _compiler(vocabulary, cap)(formula)
+
+
+def _compiler(vocabulary: Iterable[str],
+              cap: int = DEFAULT_VOCAB_CAP) -> Callable[[Formula], int]:
+    """:func:`truth_vector` over one vocabulary, which is checked against
+    the cap once, for callers that compile many formulas over it."""
     vocab = _checked_vocabulary(vocabulary)
     if len(vocab) > cap:
         raise VocabularyCapError(
             f"{len(vocab)} variables exceed the enumeration cap of {cap}")
     space, flips = _width_tables(len(vocab))
-    return _vector(formula, space,
-                   {name: pattern for name, (_, pattern) in zip(vocab, flips)})
+    patterns = {name: pattern for name, (_, pattern) in zip(vocab, flips)}
+    return lambda formula: _vector(formula, space, patterns)
 
 
 def _vector(formula: Formula, space: int, patterns: dict[str, int]) -> int:

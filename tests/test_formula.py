@@ -93,6 +93,35 @@ class TestParse:
         assert info.value.column == column
         assert f"line {line}, column {column}" in str(info.value)
 
+    @pytest.mark.parametrize("join, kind", [(" & ", And), (" | ", Or)])
+    def test_long_flat_chain_is_one_node(self, join, kind):
+        # a chain is a loop, not a recursion per operand
+        names = [f"p{i}" for i in range(20000)]
+        got = parse(join.join(names))
+        assert isinstance(got, kind) and len(got.children) == 20000
+        assert got.children[-1] == Atom("p19999")
+
+    @pytest.mark.parametrize("join", [" & ", " | "])
+    def test_chain_over_the_bound_fails_at_its_first_token(self, join):
+        deep = "(" * (MAX_DEPTH - 1) + "p | q" + ")" * (MAX_DEPTH - 1)
+        with pytest.raises(ParseError, match="nested deeper than") as info:
+            parse("r -> " + deep + join + "s")
+        assert (info.value.line, info.value.column, info.value.token) == (1, 6, "(")
+
+    def test_error_position_on_the_last_of_many_lines(self):
+        # comments holding tokens sit on every line; the error's position
+        # must match a plain scan of the characters up to the offence
+        lines = [f"x{i} &  # ( ) & x{i}" for i in range(1999)] + ["  (y | ) & z"]
+        text = "\n".join(lines)
+        offset = text.rindex(")")
+        line, column = 1, 1
+        for char in text[:offset]:
+            line, column = (line + 1, 1) if char == "\n" else (line, column + 1)
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.line, info.value.column, info.value.token) == (line, column, ")")
+        assert line == 2000 and info.value.message == "expected a formula, found ')'"
+
     @pytest.mark.parametrize("nest", [
         lambda depth: "!" * depth + "p",
         lambda depth: "(" * (depth - 1) + "p | q" + ")" * (depth - 1),

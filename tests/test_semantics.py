@@ -28,6 +28,7 @@ from beliefmerge import (
 )
 from beliefmerge.formula import format_formula
 from beliefmerge.postulates import VAR_POOL, random_formula
+from beliefmerge.semantics import _compiler
 
 
 def interp(**assignment):
@@ -120,6 +121,29 @@ class TestModels:
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError):
             models(parse("p"), ("q",))
+
+    def test_one_compiler_per_vocabulary_agrees_with_truth_vector(self):
+        rng = random.Random("compiler")
+        compilers = {width: _compiler(VAR_POOL[:width])
+                     for width in range(1, len(VAR_POOL) + 1)}
+        for _ in range(500):
+            width = rng.randint(1, len(VAR_POOL))
+            vocab = VAR_POOL[:width]
+            formula = random_formula(rng, vocab)
+            table = compilers[width](formula)
+            assert table == truth_vector(formula, vocab)
+            assert table == sum(1 << m.mask for m in models(TRUE, vocab)
+                                if evaluate(formula, m))
+
+    def test_compiler_checks_its_vocabulary_once_made(self):
+        with pytest.raises(ValueError, match="sorted and free of duplicates"):
+            _compiler(("q", "p"))
+        with pytest.raises(ValueError, match="sorted and free of duplicates"):
+            _compiler(("p", "p"))
+        with pytest.raises(VocabularyCapError, match="4 variables exceed the enumeration cap of 3"):
+            _compiler(("a", "b", "c", "d"), cap=3)
+        with pytest.raises(VocabularyCapError, match="4 variables exceed the enumeration cap of 3"):
+            truth_vector(TRUE, ("a", "b", "c", "d"), cap=3)
 
     def test_assignment_tables_are_shared_per_width(self):
         # one 18-variable assignment space is 19 tables of 32 KiB; a copy
