@@ -47,6 +47,7 @@ from .semantics import (
     MERGE_WARN_VARS,
     UnknownVariableError,
     VocabularyCapError,
+    _bit_rows,
     _iter_masks,
     format_dnf,
     models,
@@ -161,7 +162,7 @@ def _render(result: MergeResult, fmt: str) -> str:
         return "\n".join(lines)
     header = " ".join(model_set.vocabulary)
     lines = [header, "-" * len(header)]
-    lines.extend(" ".join(row) for row in model_set.bitstrings())
+    lines.extend(_bit_rows(model_set, " "))
     return "\n".join(lines)
 
 

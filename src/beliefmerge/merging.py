@@ -134,7 +134,7 @@ class MergeResult:
 
 
 def _result(tag: str, profile: Profile, table: int, **evidence) -> MergeResult:
-    return MergeResult(tag, ModelSet(profile.vocabulary, table), **evidence)
+    return MergeResult(tag, ModelSet._settled(profile.vocabulary, table), **evidence)
 
 
 # ---------------------------------------------------------------------------

@@ -221,10 +221,20 @@ def _ic8(inst, t):
 
 
 def _maj(inst, t):
-    # the evidence is the last n tried
+    """Maj searches n = 1 .. MAJORITY_BOUND, and for sigma also n =
+    |g1|·|V| + 1, which always succeeds: every Hamming distance over the
+    instance's vocabulary V is at most |V|, so 0 <= D1 <= |g1|·|V|.  A
+    constraint model w outside merge(g2) has D2(w) >= D2* + 1, so its total
+    D1(w) + n·D2(w) exceeds n·D2* + |g1|·|V|, which bounds the total of a
+    model of merge(g2).  Trying one more n is sound for any operator,
+    since Maj is existential; the other operators keep the bounded search.
+    The evidence is the last n tried."""
     (g1, g2), (mu,) = inst.groups, inst.constraints
     target = t.merge(g2, mu)
-    for n in range(1, MAJORITY_BOUND + 1):
+    counts = range(1, MAJORITY_BOUND + 1)
+    if t.operator is OPERATORS["sigma"]:
+        counts = (*counts, len(g1) * len(t.vocabulary) + 1)
+    for n in counts:
         merged = t.merge(g1 + g2 * n, mu)
         if _entails(merged, target):
             return merged, target, True
@@ -389,10 +399,15 @@ def random_formula(rng: random.Random, names: Sequence[str], depth: int = 3) -> 
 def random_consistent_formula(rng: random.Random, names: Sequence[str],
                               depth: int = 3) -> Formula:
     """Rejection-sampled consistent formula; falls back to a DNF, which is
-    consistent by construction, if rejection drags on.  A candidate is
-    compiled over all of ``names``: a formula is consistent over any
-    vocabulary that holds its own names."""
-    table_of = _compiler(sorted(set(names)))
+    consistent by construction, if rejection drags on."""
+    return _consistent_formula(rng, names, _compiler(sorted(set(names))), depth)
+
+
+def _consistent_formula(rng: random.Random, names: Sequence[str],
+                        table_of: Callable[[Formula], int], depth: int = 3) -> Formula:
+    """:func:`random_consistent_formula` with the compiler passed in.  It
+    may compile over any vocabulary that holds ``names``: a formula is
+    consistent over any vocabulary that holds its own names."""
     for _ in range(50):
         candidate = random_formula(rng, names, depth)
         if table_of(candidate):
@@ -405,11 +420,16 @@ def generate_instance(bounds: GeneratorBounds,
     """Generic random instance: two groups of consistent KBs (random DNFs)
     and two consistent constraints.  Deterministic for a fixed seed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(f"{seed}:instance")
+    return _generate_instance(bounds, rng, _compiler(VAR_POOL[:bounds.max_vars]))
+
+
+def _generate_instance(bounds: GeneratorBounds, rng: random.Random,
+                       table_of: Callable[[Formula], int]) -> PostulateInstance:
     names = VAR_POOL[:bounds.max_vars]
     groups = tuple(
         tuple(random_dnf(rng, names) for _ in range(rng.randint(1, bounds.max_kbs)))
         for _ in range(2))
-    constraints = tuple(random_consistent_formula(rng, names) for _ in range(2))
+    constraints = tuple(_consistent_formula(rng, names, table_of) for _ in range(2))
     return PostulateInstance(groups, constraints)
 
 
@@ -467,7 +487,9 @@ def instance_for(postulate: PostulateId, bounds: GeneratorBounds,
     """Random instance shaped to the postulate's preconditions."""
     require_bounds(postulate, bounds)
     names = VAR_POOL[:bounds.max_vars]
-    base = generate_instance(bounds, rng)
+    # one compiler per instance: every formula drawn for it uses these names
+    table_of = _compiler(names)
+    base = _generate_instance(bounds, rng, table_of)
     if postulate in (PostulateId.IC0, PostulateId.IC1):
         return PostulateInstance(base.groups[:1], base.constraints[:1])
     if postulate == PostulateId.IC2:
@@ -499,9 +521,9 @@ def instance_for(postulate: PostulateId, bounds: GeneratorBounds,
     if postulate in (PostulateId.IC7, PostulateId.IC8):
         return PostulateInstance(base.groups[:1], base.constraints)
     if postulate == PostulateId.A1:
-        return _a1_instance(bounds, rng, names)
+        return _a1_instance(bounds, rng, names, table_of)
     if postulate == PostulateId.A2:
-        return _a2_instance(bounds, rng, names)
+        return _a2_instance(bounds, rng, names, table_of)
     raise ValueError(f"no generator for {postulate}")
 
 
@@ -514,24 +536,24 @@ def _fresh_literal(rng: random.Random, names: Sequence[str]) -> tuple[Formula, t
     return literal, body
 
 
-def _a1_instance(bounds, rng, names) -> PostulateInstance:
+def _a1_instance(bounds, rng, names, table_of) -> PostulateInstance:
     literal, body = _fresh_literal(rng, names)
     total = rng.randint(1, bounds.max_kbs)
     supporters = rng.randint(1, total)
     special = tuple(fold_constants(conj([random_dnf(rng, body), literal]))
                     for _ in range(supporters))
     rest = tuple(random_dnf(rng, body) for _ in range(total - supporters))
-    mu = random_consistent_formula(rng, body)
+    mu = _consistent_formula(rng, body, table_of)
     return PostulateInstance((special, rest), (mu,), literal)
 
 
-def _a2_instance(bounds, rng, names) -> PostulateInstance:
+def _a2_instance(bounds, rng, names, table_of) -> PostulateInstance:
     literal, body = _fresh_literal(rng, names)
     kbs = [fold_constants(conj([random_dnf(rng, body), literal])),
            fold_constants(conj([random_dnf(rng, body), _negated(literal)]))]
     kbs.extend(random_dnf(rng, body) for _ in range(rng.randint(0, bounds.max_kbs - 2)))
     rng.shuffle(kbs)
-    mu = random_consistent_formula(rng, body)
+    mu = _consistent_formula(rng, body, table_of)
     return PostulateInstance((tuple(kbs),), (mu,), literal)
 
 

@@ -130,6 +130,16 @@ class ModelSet:
         if self.table < 0 or self.table.bit_length() > 1 << len(self.vocabulary):
             raise ValueError("truth table out of range for the vocabulary")
 
+    @classmethod
+    def _settled(cls, vocabulary: tuple[str, ...], table: int) -> "ModelSet":
+        """The model set ``ModelSet(vocabulary, table)`` for a caller whose
+        vocabulary is already sorted and free of duplicates and whose table
+        is in range for it: nothing is checked again."""
+        model_set = cls.__new__(cls)
+        object.__setattr__(model_set, "vocabulary", vocabulary)
+        object.__setattr__(model_set, "table", table)
+        return model_set
+
     @property
     def masks(self) -> frozenset[int]:
         return frozenset(_iter_masks(self.table))
@@ -147,8 +157,7 @@ class ModelSet:
                 and self.table >> interpretation.mask & 1 == 1)
 
     def bitstrings(self) -> list[str]:
-        n = len(self.vocabulary)
-        return [format(mask, f"0{n}b") if n else "" for mask in _iter_masks(self.table)]
+        return _bit_rows(self, "")
 
 
 def vocabulary_union(*formulas: Formula, extra: Iterable[str] = ()) -> tuple[str, ...]:
@@ -363,10 +372,13 @@ def format_dnf(model_set: ModelSet) -> str:
     truth table without building the tree.
 
     The vocabulary is cut into slices of w variables, the last slice
-    ending at the lowest bit of a mask.  Each slice gets the literal runs
-    of its 2^w values, built per call, and each minterm is one run per
-    slice.  2^w is at most twice the number of members and at most 256, so
-    building the runs costs no more than the text they serve.
+    ending at the lowest bit of a mask, and each slice gets the literal
+    runs of its 2^w values, built per call.  2^w is at most twice the
+    number of members and at most 256, so building the runs costs no more
+    than the text they serve.  Members that share their high variables
+    share one printed prefix, the runs of the higher slices
+    (:func:`_prefixed`), so a member pays one lookup of its low w bits and
+    one concatenation.
     """
     table = model_set.table
     if not table:
@@ -376,14 +388,59 @@ def format_dnf(model_set: ModelSet) -> str:
         return "true"
     n = len(vocab)
     width = min(8, table.bit_count().bit_length())
-    cut = n % width or width
-    runs = [_literal_runs(vocab[:cut], "")]
+    low = min(width, n)
+    top = n - low
+    cut = top % width or width
+    runs = [_literal_runs(vocab[:cut], "")] if top else []
     runs.extend(_literal_runs(vocab[start:start + width], " & ")
-                for start in range(cut, n, width))
-    slices = list(zip(runs, range(n - cut, -1, -width)))
-    low = (1 << width) - 1
-    return " | ".join("".join([run[mask >> shift & low] for run, shift in slices])
-                      for mask in _iter_masks(table))
+                for start in range(cut, top, width))
+    slices = list(zip(runs, range(top - cut, -1, -width)))
+    mask = (1 << width) - 1
+
+    def prefix(high: int) -> str:
+        return "".join([run[high >> shift & mask] for run, shift in slices])
+
+    lows = _literal_runs(vocab[top:], " & " if top else "")
+    return " | ".join(_prefixed(table, low, lows, prefix))
+
+
+def _bit_rows(model_set: ModelSet, sep: str) -> list[str]:
+    """One row per member, ascending: its bits in vocabulary order, joined
+    by ``sep``.  As in :func:`format_dnf`, the rows of the low w bits are
+    built per call, 2^w at most twice the number of members and at most
+    256, and the high bits are formatted once per chunk."""
+    table = model_set.table
+    n = len(model_set.vocabulary)
+    low = min(8, table.bit_count().bit_length(), n)
+    top = n - low
+    lows, digits = [""], ("0", "1")
+    for _ in range(low):
+        lows = [row + digit for row in lows for digit in digits]
+        digits = (sep + "0", sep + "1")
+    spec = f"0{top}b"
+
+    def prefix(high: int) -> str:
+        if not top:
+            return ""
+        bits = format(high, spec)
+        return sep.join(bits) + sep if sep else bits
+
+    return _prefixed(table, low, lows, prefix)
+
+
+def _prefixed(table: int, width: int, lows: list[str],
+              prefix: Callable[[int], str]) -> list[str]:
+    """``prefix(m >> width) + lows[m & (2^width - 1)]`` for each member m
+    of ``table``, ascending.  Members come in chunks of 2^width assignments
+    that share their high bits, and ``prefix`` is called once per chunk."""
+    mask = (1 << width) - 1
+    rows, chunk, head = [], -1, ""
+    for m in _iter_masks(table):
+        if m >> width != chunk:
+            chunk = m >> width
+            head = prefix(chunk)
+        rows.append(head + lows[m & mask])
+    return rows
 
 
 def _literal_runs(names: tuple[str, ...], lead: str) -> list[str]:

@@ -316,6 +316,13 @@ class TestCheck:
         assert code == 1
         assert "sigma IC0: fail" in out
 
+    def test_sigma_majority_is_decided_past_the_search_bound(self, capsys):
+        # trials 70, 186 and 299 need more than eight copies of the second
+        # group; n = |g1|·|V| + 1 always puts sigma's winners in merge(g2)
+        code, out, _ = invoke(capsys, "check", "-o", "sigma", "--postulates", "Maj",
+                              "--max-kbs", "24", "--trials", "300")
+        assert (code, out) == (0, "sigma Maj: bounded-pass (0 violations in 300 trials)\n")
+
     def test_unknown_postulate_exit_3(self, capsys):
         code, _, err = invoke(capsys, "check", "-o", "sigma",
                               "--postulates", "IC9", "--trials", "1")
@@ -387,6 +394,74 @@ class TestOutputWithoutFormulaTrees:
         for argv, (code, out, err) in zip(self.commands(co_owners_path), expected):
             assert code == 0, argv
             assert invoke(capsys, *argv) == (code, out, err), argv
+
+
+class TestWideAnswers:
+    """Answers of about a thousand models over 13 variables print exactly
+    their referee's text: the printed ``to_dnf`` tree, or one ``format``
+    call per member.  Each model set is worked out here by brute force."""
+
+    N = 13
+    NAMES = tuple(f"x{i:02d}" for i in range(14))
+
+    @classmethod
+    def bits(cls, mask):
+        return [mask >> (cls.N - 1 - j) & 1 for j in range(cls.N)]
+
+    @classmethod
+    def referee_dnf(cls, vocab, members):
+        return formula.format_formula(semantics.to_dnf(
+            semantics.ModelSet(vocab, sum(1 << m for m in members))))
+
+    @classmethod
+    def profile(cls, tmp_path):
+        # sigma and f1 keep x01 & x02 & x03; max also keeps one of them false
+        path = tmp_path / "wide.profile"
+        path.write_text("vars: " + ", ".join(cls.NAMES[:cls.N]) + "\n"
+                        "kb: x00\nkb: !x00\nkb: x01 & x02 & x03\n")
+        return path
+
+    def test_merge_formats(self, capsys, tmp_path):
+        path, vocab = self.profile(tmp_path), self.NAMES[:self.N]
+        kept = [m for m in range(1 << self.N) if all(self.bits(m)[1:4])]
+        near = [m for m in range(1 << self.N) if sum(self.bits(m)[1:4]) >= 2]
+        assert (len(kept), len(near)) == (1024, 4096)
+        rows = [format(m, "013b") for m in kept]
+        expected = {
+            ("sigma", "dnf"): self.referee_dnf(vocab, kept),
+            ("f1", "models"): "\n".join(["vars: " + " ".join(vocab), *rows]),
+            ("max", "table"): "\n".join([" ".join(vocab), "-" * len(" ".join(vocab)),
+                                         *(" ".join(format(m, "013b")) for m in near)]),
+        }
+        for (operator, fmt), text in expected.items():
+            code, out, _ = invoke(capsys, "merge", "-f", str(path), "-o", operator,
+                                  "--format", fmt)
+            assert (code, out) == (0, text + "\n"), (operator, fmt)
+
+    def test_dilate(self, capsys):
+        text = ("x00 & x01 & x02 & x03 & x04 & (x05 | x06)"
+                " & (x07 | x08 | x09 | x10 | x11 | x12)")
+        inner = [m for m in range(1 << self.N)
+                 if all(self.bits(m)[:5]) and any(self.bits(m)[5:7])
+                 and any(self.bits(m)[7:])]
+        ball = sorted({m ^ flip for m in inner
+                       for flip in (0, *(1 << j for j in range(self.N)))})
+        assert len(ball) > 1000
+        code, out, _ = invoke(capsys, "dilate", text, "-n", "1")
+        vocab = self.NAMES[:self.N]
+        assert (code, out) == (0, f"{self.referee_dnf(vocab, ball)}\nmodels: {len(ball)}\n")
+
+    def test_forget(self, capsys):
+        # forgetting x00 leaves x01 & (x02 | x03) & x04 & (x05 | ... | x13)
+        text = ("(x00 & x01 & x02 | !x00 & x01 & x03) & x04 & ("
+                + " | ".join(self.NAMES[5:]) + ")")
+        kept = [m for m in range(1 << self.N)
+                if self.bits(m)[0] and (self.bits(m)[1] or self.bits(m)[2])
+                and self.bits(m)[3] and any(self.bits(m)[4:])]
+        assert len(kept) > 1000
+        code, out, _ = invoke(capsys, "forget", text, "--vars", "x00")
+        vocab = self.NAMES[1:]
+        assert (code, out) == (0, f"{self.referee_dnf(vocab, kept)}\nmodels: {len(kept)}\n")
 
 
 class TestDeterminism:

@@ -26,7 +26,9 @@ from beliefmerge import (
     truth_vector,
     vocabulary_union,
 )
+from beliefmerge import cli
 from beliefmerge.formula import format_formula
+from beliefmerge.merging import MergeResult
 from beliefmerge.postulates import VAR_POOL, random_formula
 from beliefmerge.semantics import _compiler
 
@@ -291,6 +293,77 @@ class TestFormatDnf:
                 samples.append((width, sparse(width, count)))
         for width, table in samples:
             self.assert_matches(width, table)
+
+
+class TestRenderersAgainstReferees:
+    """``format_dnf``, ``bitstrings`` and the table rows against their
+    referees: the printed ``to_dnf`` tree and one ``format`` call per
+    member.  Members that share their high variables share one printed
+    prefix, a chunk of 2^w assignments with w = min(8, the member count's
+    bit length), so the tables put members on both edges of chunks, at
+    every w, with n a multiple of w and not."""
+
+    @staticmethod
+    def table_with_edges(rng, n, count):
+        """``count`` members over ``n`` variables, about half of them the
+        first or the last assignment of a chunk, as a sorted list."""
+        size = 1 << n
+        if count > size // 2:
+            return sorted(set(range(size)) - set(rng.sample(range(size), size - count)))
+        chunk = 1 << min(8, count.bit_length(), n)
+        edges = [e for base in range(0, size, chunk) for e in (base, base + chunk - 1)]
+        members = set(rng.sample(edges, min(len(edges), count // 2)))
+        while len(members) < count:
+            members.add(rng.randrange(size))
+        return sorted(members)
+
+    @staticmethod
+    def assert_same(actual, expected, case):
+        # pytest's own diff of two texts of many kilobytes takes minutes,
+        # so a failure names only where they part
+        if actual != expected:
+            at = next(i for i, (a, b) in enumerate(zip(actual + "\0", expected + "\1"))
+                      if a != b)
+            pytest.fail(f"{case}: the texts part at character {at}: "
+                        f"{actual[at:at + 60]!r} != {expected[at:at + 60]!r}")
+
+    def assert_renders(self, n, members):
+        model_set = ModelSet(tuple(f"x{i:02d}" for i in range(n)),
+                             sum(1 << m for m in members))
+        case = f"{len(members)} models over {n} variables"
+        self.assert_same(format_dnf(model_set), format_formula(to_dnf(model_set)), case)
+        rows = [format(m, f"0{n}b") if n else "" for m in members]
+        self.assert_same("\n".join(model_set.bitstrings()), "\n".join(rows), case)
+        header = " ".join(model_set.vocabulary)
+        self.assert_same(cli._render(MergeResult("referee", model_set), "table"), "\n".join(
+            [header, "-" * len(header), *(" ".join(row) for row in rows)]), case)
+
+    def test_every_width_on_0_to_16_variables(self):
+        rng = random.Random("renderers")
+        cases = 0
+        for n in range(17):
+            size = 1 << n
+            counts = {0, 1, 2, 3, size} if n <= 10 else {0, 1, 2, 3}
+            # one count per chunk width w: its bit length is w, or 8 from 128 up
+            counts.update(rng.randint(1 << (w - 1), (1 << w) - 1) for w in range(1, 8))
+            counts.add(rng.randint(128, 1100 if n == 13 else 300))
+            counts.add(rng.randint(1, 1 << rng.randint(0, 10)))
+            for count in sorted(c for c in counts if c <= size):
+                self.assert_renders(n, self.table_with_edges(rng, n, count))
+                cases += 1
+        assert cases > 150
+
+    def test_members_on_every_chunk_edge(self):
+        # (n, members): w is 8 from 128 members up, 3 for 4-7 members, so n
+        # is a multiple of w at 8, 16, 3 and 6 and not at 13 and 9
+        rng = random.Random("chunk edges")
+        for n, count in ((8, 200), (16, 600), (13, 200), (9, 255), (3, 5), (6, 7)):
+            chunk = 1 << min(8, count.bit_length(), n)
+            members = {e for base in range(0, 1 << n, chunk) for e in (base, base + chunk - 1)}
+            members = set(sorted(members)[:count])
+            while len(members) < count:
+                members.add(rng.randrange(1 << n))
+            self.assert_renders(n, sorted(members))
 
 
 class TestModelSet:
