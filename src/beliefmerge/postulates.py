@@ -8,6 +8,14 @@ satisfied.  ``check_randomized`` drives seeded random instances built to
 the postulate's preconditions and records each violation, from the sides
 that decided it, in a replayable serialisation.
 
+The generator works out each formula's truth table over its pool of names,
+and the formula's own-variable mask, while it draws the formula, and keeps
+them on the instance.  When the instance's formulas mention every pool name,
+the pool is the instance's vocabulary and nothing is walked or compiled
+again; other instances are compiled as they stand.  Within one instance,
+merges by ``max``, ``f1`` and ``f2``, which ignore KB repetition, are
+memoised by their distinct KBs and constraint.
+
 Two quantifiers are necessarily truncated: the majority property searches
 its existential repetition count up to ``MAJORITY_BOUND`` and majority
 independence samples n from ``MI_SAMPLES``, so clean runs of those two are
@@ -17,8 +25,10 @@ reported as ``bounded-pass`` rather than ``pass``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Callable, Mapping, Sequence
 
 from .formula import (
@@ -33,7 +43,6 @@ from .formula import (
     Or,
     TRUE,
     conj,
-    disj,
     fold_constants,
     format_formula,
     parse,
@@ -44,8 +53,9 @@ from .profile_io import format_profile, parse_profile_parts
 from .semantics import (
     DEFAULT_VOCAB_CAP,
     ModelSet,
+    _check_cap,
     _compiler,
-    is_consistent,
+    _width_tables,
 )
 
 
@@ -78,18 +88,37 @@ class PostulateInstance:
     ``groups`` holds the KB groups in the postulate's own order (a single
     group for IC0-IC2/IC7/IC8/A2, two groups for the union-shaped
     postulates, the distinguished subgroup first for A1).  ``constraints``
-    holds one constraint, or two for IC3/IC7/IC8.
+    holds one constraint, or two for IC3/IC7/IC8.  ``drawn`` is set only by
+    the generator, to the rows it worked out while drawing (:class:`_Draw`);
+    it takes no part in equality, and hand-built or replayed instances have
+    none.
     """
 
     groups: tuple[tuple[Formula, ...], ...]
     constraints: tuple[Formula, ...]
     literal: Formula | None = None
+    drawn: _Draw | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _negated(literal: Formula) -> Formula:
-    if isinstance(literal, Not):
-        return literal.child
-    return Not(literal)
+# A row is a formula with its truth table over some vocabulary and its
+# own-variable mask, bit j standing for the vocabulary's j-th name.
+Row = tuple[Formula, int, int]
+
+
+class _Draw:
+    """The rows of a drawn instance's formulas over the pool it was drawn
+    from, by formula identity; each row holds its formula, so no id is
+    reused while the draw lives."""
+
+    __slots__ = ("pool", "rows")
+
+    def __init__(self, pool: _Pool, rows: dict[int, Row]):
+        self.pool, self.rows = pool, rows
+
+
+# merges of these operators ignore KB repetition (tests/test_merging.py holds
+# them to it), so one instance memoises them by distinct KBs
+_REPETITION_BLIND = ("max", "f1", "f2")
 
 
 class _Tables:
@@ -97,42 +126,78 @@ class _Tables:
     vocabulary.  Variables a merge's own KBs and constraint do not mention
     are free, so its winners are the cylinder of the narrower answer.
 
-    Each formula of the instance is walked once for its names, which give
-    the vocabulary and its own-variable mask, and compiled at most once.
-    Tables are memoised by formula identity, and the memo holds each
-    formula so that its id cannot be reused; every merge's profile is built
-    from the memo."""
+    Each formula of the instance has one row.  A drawn instance whose rows'
+    masks cover the pool takes the pool as its vocabulary and its rows as
+    drawn; any other instance walks each formula once for its names, which
+    give the vocabulary and its own-variable mask, and compiles it once.
+    Rows are kept by formula identity, and each merge's profile is built
+    from them.  Operators are compared with ``OPERATORS`` when the tables
+    are made, so a rebound operator is still recognised as blind to
+    repetition."""
 
     def __init__(self, operator: MergeOperator, instance: PostulateInstance, cap: int):
         literal = () if instance.literal is None else (instance.literal,)
         formulas = [kb for group in instance.groups for kb in group]
         formulas += [*instance.constraints, *literal]
-        own = {id(f): (f, variables(f)) for f in formulas}
-        self.vocabulary = tuple(sorted(set().union(*(names for _, names in own.values()))))
-        bit = {name: 1 << j for j, name in enumerate(self.vocabulary)}
-        self._masks = {key: (f, sum(bit[name] for name in names))
-                       for key, (f, names) in own.items()}
-        self._tables: dict[int, tuple[Formula, int]] = {}
-        self._table_of = _compiler(self.vocabulary, cap)
         self.operator, self.cap = operator, cap
+        blind = any(operator is OPERATORS[tag] for tag in _REPETITION_BLIND)
+        self._merged: dict | None = {} if blind else None
+        drawn = instance.drawn
+        rows = drawn and [drawn.rows.get(id(f)) for f in formulas]
+        if rows and all(rows) and _union(rows) == drawn.pool.full:
+            _check_cap(len(drawn.pool.names), cap)
+            self.vocabulary, self.space = drawn.pool.names, drawn.pool.space
+        else:
+            own = {id(f): (f, variables(f)) for f in formulas}
+            self.vocabulary = tuple(sorted(set().union(*(names for _, names in own.values()))))
+            table_of = _compiler(self.vocabulary, cap)
+            bit = {name: 1 << j for j, name in enumerate(self.vocabulary)}
+            rows = [(f, table_of(f), sum(bit[name] for name in names))
+                    for f, names in own.values()]
+            self.space = _width_tables(len(self.vocabulary))[0]
+        self._rows = {id(row[0]): row for row in rows}
 
     def of(self, formula: Formula) -> int:
-        entry = self._tables.get(id(formula))
-        if entry is None:
-            entry = formula, self._table_of(formula)
-            self._tables[id(formula)] = entry
-        return entry[1]
+        return self._rows[id(formula)][1]
 
     def mask(self, formula: Formula) -> int:
         """Own-variable mask of a formula of the instance."""
-        return self._masks[id(formula)][1]
+        return self._rows[id(formula)][2]
+
+    def conj(self, parts: Sequence[Formula]) -> Formula:
+        """``conj(parts)`` of formulas that have rows, with a row made
+        from theirs."""
+        formula, table, mask = conj(parts), self.space, 0
+        for part in parts:
+            _, part_table, part_mask = self._rows[id(part)]
+            table &= part_table
+            mask |= part_mask
+        self._rows[id(formula)] = formula, table, mask
+        return formula
 
     def merge(self, kbs: Sequence[Formula], constraint: Formula) -> int:
+        rows = [self._rows[id(kb)] for kb in kbs]
+        bound = self.of(constraint)
+        if self._merged is None:
+            return self._merge(kbs, constraint, rows, bound)
+        key = frozenset([row[1:] for row in rows]), bound
+        if key not in self._merged:
+            self._merged[key] = self._merge(kbs, constraint, rows, bound)
+        return self._merged[key]
+
+    def _merge(self, kbs, constraint, rows, bound) -> int:
         profile = Profile.compiled(kbs, constraint, self.vocabulary,
-                                   [self.of(kb) for kb in kbs],
-                                   [self.mask(kb) for kb in kbs],
-                                   self.of(constraint), self.cap)
+                                   [table for _, table, _ in rows],
+                                   [mask for _, _, mask in rows], bound, self.cap)
         return self.operator(profile).model_set.table
+
+
+def _union(rows: Sequence[Row]) -> int:
+    """The union of the rows' own-variable masks."""
+    mask = 0
+    for _, _, own in rows:
+        mask |= own
+    return mask
 
 
 def _entails(first: int, second: int) -> bool:
@@ -161,7 +226,7 @@ def _ic1(inst, t):
 
 def _ic2(inst, t):
     (group,), (mu,) = inst.groups, inst.constraints
-    whole = t.of(conj([*group, mu]))
+    whole = t.of(t.conj([*group, mu]))
     if not whole:
         return None
     merged = t.merge(group, mu)
@@ -207,7 +272,7 @@ def _ic6(inst, t):
 def _ic7(inst, t):
     (group,), (mu1, mu2) = inst.groups, inst.constraints
     narrowed = t.merge(group, mu1) & t.of(mu2)
-    joint = t.merge(group, conj([mu1, mu2]))
+    joint = t.merge(group, t.conj([mu1, mu2]))
     return narrowed, joint, _entails(narrowed, joint)
 
 
@@ -216,7 +281,7 @@ def _ic8(inst, t):
     narrowed = t.merge(group, mu1) & t.of(mu2)
     if not narrowed:
         return None
-    joint = t.merge(group, conj([mu1, mu2]))
+    joint = t.merge(group, t.conj([mu1, mu2]))
     return joint, narrowed, _entails(joint, narrowed)
 
 
@@ -273,7 +338,8 @@ def _a2(inst, t):
     (group,), (mu,) = inst.groups, inst.constraints
     if inst.literal is None:
         return None
-    fixed, opposite = t.of(inst.literal), t.of(_negated(inst.literal))
+    fixed = t.of(inst.literal)
+    opposite = t.space ^ fixed
     kbs = list(map(t.of, group))
     if not (any(_entails(kb, fixed) for kb in kbs)
             and any(_entails(kb, opposite) for kb in kbs)):
@@ -366,53 +432,106 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def _random_term(rng: random.Random, names: Sequence[str]) -> Formula:
-    chosen = rng.sample(names, rng.randint(1, len(names)))
-    return conj([Atom(n) if rng.random() < 0.5 else Not(Atom(n)) for n in chosen])
+class _Pool:
+    """The literals of the sorted, distinct ``names``, each as a row over
+    them: ``literals[name]`` holds the negative row, then the positive, so
+    a draw indexes it with its coin.  ``constants`` holds false's row, then
+    true's.  With ``tabled=False`` every table is 0, for the public drawers,
+    which return only the formula and take names of any number."""
+
+    def __init__(self, names: tuple[str, ...], tabled: bool = True):
+        if tabled:
+            _check_cap(len(names), DEFAULT_VOCAB_CAP)
+            space, flips = _width_tables(len(names))
+        else:
+            space, flips = 0, ((0, 0),) * len(names)
+        self.names, self.space, self.full = names, space, (1 << len(names)) - 1
+        self.constants = ((FALSE, 0, 0), (TRUE, space, 0))
+        self.literals: dict[str, tuple[Row, Row]] = {}
+        for j, (name, (_, pattern)) in enumerate(zip(names, flips)):
+            atom = Atom(name)
+            self.literals[name] = ((Not(atom), space ^ pattern, 1 << j), (atom, pattern, 1 << j))
+
+    def mask(self, names: Sequence[str]) -> int:
+        """The mask of ``names``: the sum of their positive rows' bits."""
+        return sum(self.literals[name][1][2] for name in names)
+
+
+@lru_cache(maxsize=len(VAR_POOL))
+def _var_pool(width: int) -> _Pool:
+    return _Pool(VAR_POOL[:width])
 
 
 def random_dnf(rng: random.Random, names: Sequence[str]) -> Formula:
     """Random DNF over ``names``; consistent by construction, since each
     term conjoins literals over distinct variables."""
-    return disj([_random_term(rng, names) for _ in range(rng.randint(1, 3))])
+    return _draw_dnf(rng, names, _Pool(tuple(names), tabled=False))[0]
+
+
+def _draw_dnf(rng: random.Random, names: Sequence[str], pool: _Pool) -> Row:
+    """:func:`random_dnf` over ``names``, as a row over ``pool``, which
+    holds them."""
+    terms, table, mask = [], 0, 0
+    for _ in range(rng.randint(1, 3)):
+        literals, term = [], pool.space
+        for name in rng.sample(names, rng.randint(1, len(names))):
+            literal, literal_table, bit = pool.literals[name][rng.random() < 0.5]
+            literals.append(literal)
+            term &= literal_table
+            mask |= bit
+        terms.append(literals[0] if len(literals) == 1 else And(tuple(literals)))
+        table |= term
+    return (terms[0] if len(terms) == 1 else Or(tuple(terms))), table, mask
 
 
 def random_formula(rng: random.Random, names: Sequence[str], depth: int = 3) -> Formula:
     """Random formula tree over all connectives, for parser and property
     exercises; not guaranteed consistent."""
+    return _draw_formula(rng, names, _Pool(tuple(names), tabled=False), depth)[0]
+
+
+def _draw_formula(rng: random.Random, names: Sequence[str], pool: _Pool,
+                  depth: int = 3) -> Row:
+    """:func:`random_formula` over ``names``, as a row over ``pool``, which
+    holds them."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.08:
-            return TRUE if rng.random() < 0.5 else FALSE
-        return Atom(rng.choice(names))
+            return pool.constants[rng.random() < 0.5]
+        return pool.literals[rng.choice(names)][1]
     kind = rng.choice(("not", "and", "or", "implies", "iff"))
     if kind == "not":
-        return Not(random_formula(rng, names, depth - 1))
+        child, table, mask = _draw_formula(rng, names, pool, depth - 1)
+        return Not(child), pool.space ^ table, mask
     if kind in ("and", "or"):
-        parts = tuple(random_formula(rng, names, depth - 1)
-                      for _ in range(rng.randint(2, 3)))
-        return And(parts) if kind == "and" else Or(parts)
-    lhs = random_formula(rng, names, depth - 1)
-    rhs = random_formula(rng, names, depth - 1)
-    return Implies(lhs, rhs) if kind == "implies" else Iff(lhs, rhs)
+        parts, tables, masks = zip(*[_draw_formula(rng, names, pool, depth - 1)
+                                     for _ in range(rng.randint(2, 3))])
+        if kind == "and":
+            return And(parts), reduce(and_, tables), reduce(or_, masks)
+        return Or(parts), reduce(or_, tables), reduce(or_, masks)
+    lhs, lhs_table, lhs_mask = _draw_formula(rng, names, pool, depth - 1)
+    rhs, rhs_table, rhs_mask = _draw_formula(rng, names, pool, depth - 1)
+    if kind == "implies":
+        return Implies(lhs, rhs), (pool.space ^ lhs_table) | rhs_table, lhs_mask | rhs_mask
+    return Iff(lhs, rhs), pool.space ^ lhs_table ^ rhs_table, lhs_mask | rhs_mask
 
 
 def random_consistent_formula(rng: random.Random, names: Sequence[str],
                               depth: int = 3) -> Formula:
     """Rejection-sampled consistent formula; falls back to a DNF, which is
     consistent by construction, if rejection drags on."""
-    return _consistent_formula(rng, names, _compiler(sorted(set(names))), depth)
+    return _consistent_formula(rng, names, _Pool(tuple(sorted(set(names)))), depth)[0]
 
 
-def _consistent_formula(rng: random.Random, names: Sequence[str],
-                        table_of: Callable[[Formula], int], depth: int = 3) -> Formula:
-    """:func:`random_consistent_formula` with the compiler passed in.  It
-    may compile over any vocabulary that holds ``names``: a formula is
-    consistent over any vocabulary that holds its own names."""
+def _consistent_formula(rng: random.Random, names: Sequence[str], pool: _Pool,
+                        depth: int = 3) -> Row:
+    """:func:`random_consistent_formula` over ``names``, as a row over
+    ``pool``, which holds them: a formula is consistent over any vocabulary
+    that holds its own names, so the drawn table is the rejection test."""
     for _ in range(50):
-        candidate = random_formula(rng, names, depth)
-        if table_of(candidate):
-            return candidate
-    return random_dnf(rng, names)
+        row = _draw_formula(rng, names, pool, depth)
+        if row[1]:
+            return row
+    return _draw_dnf(rng, names, pool)
 
 
 def generate_instance(bounds: GeneratorBounds,
@@ -420,17 +539,42 @@ def generate_instance(bounds: GeneratorBounds,
     """Generic random instance: two groups of consistent KBs (random DNFs)
     and two consistent constraints.  Deterministic for a fixed seed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(f"{seed}:instance")
-    return _generate_instance(bounds, rng, _compiler(VAR_POOL[:bounds.max_vars]))
+    pool = _var_pool(bounds.max_vars)
+    return _drawn_instance(pool, *_draw_base(bounds, rng, pool))
 
 
-def _generate_instance(bounds: GeneratorBounds, rng: random.Random,
-                       table_of: Callable[[Formula], int]) -> PostulateInstance:
-    names = VAR_POOL[:bounds.max_vars]
-    groups = tuple(
-        tuple(random_dnf(rng, names) for _ in range(rng.randint(1, bounds.max_kbs)))
-        for _ in range(2))
-    constraints = tuple(_consistent_formula(rng, names, table_of) for _ in range(2))
-    return PostulateInstance(groups, constraints)
+def _draw_base(bounds: GeneratorBounds, rng: random.Random,
+               pool: _Pool) -> tuple[list[list[Row]], list[Row]]:
+    """The rows of :func:`generate_instance`'s groups and constraints."""
+    names = pool.names
+    groups = [[_draw_dnf(rng, names, pool) for _ in range(rng.randint(1, bounds.max_kbs))]
+              for _ in range(2)]
+    constraints = [_consistent_formula(rng, names, pool) for _ in range(2)]
+    return groups, constraints
+
+
+def _drawn_instance(pool: _Pool, groups: Sequence[Sequence[Row]],
+                    constraints: Sequence[Row], literal: Row | None = None) -> PostulateInstance:
+    """The instance of these rows, which keeps them as its draw."""
+    rows = [row for group in groups for row in group] + [*constraints]
+    if literal is not None:
+        rows.append(literal)
+    instance = PostulateInstance(tuple(tuple(row[0] for row in group) for group in groups),
+                                 tuple(row[0] for row in constraints),
+                                 None if literal is None else literal[0])
+    object.__setattr__(instance, "drawn", _Draw(pool, {id(row[0]): row for row in rows}))
+    return instance
+
+
+def _consistent_rows(rows: Sequence[Row], cap: int) -> bool:
+    """Whether the conjunction of the rows' formulas is consistent.  Like
+    :func:`~beliefmerge.semantics.is_consistent` on it, this refuses a
+    conjunction that mentions more names than ``cap``."""
+    table = rows[0][1]
+    for _, part, _ in rows[1:]:
+        table &= part
+    _check_cap(_union(rows).bit_count(), cap)
+    return table != 0
 
 
 def equivalent_rewrite(formula: Formula, rng: random.Random) -> Formula:
@@ -441,6 +585,13 @@ def equivalent_rewrite(formula: Formula, rng: random.Random) -> Formula:
     if rng.random() < 0.2:
         rewritten = Not(Not(rewritten))
     return rewritten
+
+
+def _rewritten(row: Row, rng: random.Random) -> Row:
+    """An :func:`equivalent_rewrite` of the row's formula, which keeps its
+    table and its names."""
+    formula, table, mask = row
+    return equivalent_rewrite(formula, rng), table, mask
 
 
 def _rewrite_structure(formula: Formula, rng: random.Random) -> Formula:
@@ -484,77 +635,91 @@ def require_bounds(postulate: PostulateId, bounds: GeneratorBounds) -> None:
 
 def instance_for(postulate: PostulateId, bounds: GeneratorBounds,
                  rng: random.Random, cap: int = DEFAULT_VOCAB_CAP) -> PostulateInstance:
-    """Random instance shaped to the postulate's preconditions."""
+    """Random instance shaped to the postulate's preconditions, drawn with
+    its rows over ``VAR_POOL[:bounds.max_vars]``."""
     require_bounds(postulate, bounds)
-    names = VAR_POOL[:bounds.max_vars]
-    # one compiler per instance: every formula drawn for it uses these names
-    table_of = _compiler(names)
-    base = _generate_instance(bounds, rng, table_of)
+    pool = _var_pool(bounds.max_vars)
+    names = pool.names
+    groups, constraints = _draw_base(bounds, rng, pool)
     if postulate in (PostulateId.IC0, PostulateId.IC1):
-        return PostulateInstance(base.groups[:1], base.constraints[:1])
+        return _drawn_instance(pool, groups[:1], constraints[:1])
     if postulate == PostulateId.IC2:
-        group, mu = base.groups[0], base.constraints[0]
+        group, mu = groups[0], constraints[0]
         for _ in range(25):  # bias toward a live antecedent
-            if is_consistent(conj([*group, mu]), cap=cap):
+            if _consistent_rows([*group, mu], cap):
                 break
-            group = tuple(random_dnf(rng, names) for _ in range(len(group)))
-        return PostulateInstance((group,), (mu,))
+            group = [_draw_dnf(rng, names, pool) for _ in range(len(group))]
+        return _drawn_instance(pool, [group], [mu])
     if postulate == PostulateId.IC3:
-        group, mu = base.groups[0], base.constraints[0]
+        group, mu = groups[0], constraints[0]
         order = rng.sample(range(len(group)), len(group))
-        twin = tuple(equivalent_rewrite(group[j], rng) for j in order)
-        return PostulateInstance((group, twin), (mu, equivalent_rewrite(mu, rng)))
+        twin = [_rewritten(group[j], rng) for j in order]
+        return _drawn_instance(pool, [group, twin], [mu, _rewritten(mu, rng)])
     if postulate == PostulateId.IC4:
-        mu = base.constraints[0]
+        mu = constraints[0]
+        # each KB is fold_constants(conj([dnf, mu])), which is conj([dnf,
+        # folded]), or the DNF alone when mu folds to true: the DNF has no
+        # constants, and mu is consistent, so no conjunct folds to false
+        folded = fold_constants(mu[0])
+        folded_mask = pool.mask(variables(folded))
         pair = []
         for _ in range(2):
             for _ in range(50):
-                candidate = fold_constants(conj([random_dnf(rng, names), mu]))
-                if is_consistent(candidate, cap=cap):
+                dnf, table, mask = _draw_dnf(rng, names, pool)
+                candidate = (dnf if folded == TRUE else conj([dnf, folded]),
+                             table & mu[1], mask | folded_mask)
+                if _consistent_rows([candidate], cap):
                     pair.append(candidate)
                     break
             else:
                 pair.append(mu)  # mu itself is a consistent KB entailing mu
-        return PostulateInstance(((pair[0], pair[1]),), (mu,))
+        return _drawn_instance(pool, [pair], [mu])
     if postulate in (PostulateId.IC5, PostulateId.IC6, PostulateId.MAJ, PostulateId.MI):
-        return PostulateInstance(base.groups, base.constraints[:1])
+        return _drawn_instance(pool, groups, constraints[:1])
     if postulate in (PostulateId.IC7, PostulateId.IC8):
-        return PostulateInstance(base.groups[:1], base.constraints)
+        return _drawn_instance(pool, groups[:1], constraints)
     if postulate == PostulateId.A1:
-        return _a1_instance(bounds, rng, names, table_of)
+        return _a1_instance(bounds, rng, pool)
     if postulate == PostulateId.A2:
-        return _a2_instance(bounds, rng, names, table_of)
+        return _a2_instance(bounds, rng, pool)
     raise ValueError(f"no generator for {postulate}")
 
 
-def _fresh_literal(rng: random.Random, names: Sequence[str]) -> tuple[Formula, tuple[str, ...]]:
-    """A literal on the last pool variable, kept out of everything else so
-    that it is genuinely uncontested outside the constructed KBs."""
-    body = tuple(names[:-1])
-    atom = Atom(names[-1])
-    literal = atom if rng.random() < 0.5 else Not(atom)
-    return literal, body
+def _fresh_literal(rng: random.Random, pool: _Pool) -> tuple[Row, Row, tuple[str, ...]]:
+    """A literal on the last pool variable, its negation, and the other
+    names; the literal is kept out of everything else so that it is
+    genuinely uncontested outside the constructed KBs."""
+    negative, positive = pool.literals[pool.names[-1]]
+    if rng.random() < 0.5:
+        return positive, negative, pool.names[:-1]
+    return negative, positive, pool.names[:-1]
 
 
-def _a1_instance(bounds, rng, names, table_of) -> PostulateInstance:
-    literal, body = _fresh_literal(rng, names)
+def _with_literal(row: Row, literal: Row) -> Row:
+    """The row of ``conj([formula, literal])``; the formula is a DNF, so the
+    conjunction has no constant to fold."""
+    formula, table, mask = row
+    return conj([formula, literal[0]]), table & literal[1], mask | literal[2]
+
+
+def _a1_instance(bounds, rng, pool) -> PostulateInstance:
+    literal, _, body = _fresh_literal(rng, pool)
     total = rng.randint(1, bounds.max_kbs)
     supporters = rng.randint(1, total)
-    special = tuple(fold_constants(conj([random_dnf(rng, body), literal]))
-                    for _ in range(supporters))
-    rest = tuple(random_dnf(rng, body) for _ in range(total - supporters))
-    mu = _consistent_formula(rng, body, table_of)
-    return PostulateInstance((special, rest), (mu,), literal)
+    special = [_with_literal(_draw_dnf(rng, body, pool), literal) for _ in range(supporters)]
+    rest = [_draw_dnf(rng, body, pool) for _ in range(total - supporters)]
+    mu = _consistent_formula(rng, body, pool)
+    return _drawn_instance(pool, [special, rest], [mu], literal)
 
 
-def _a2_instance(bounds, rng, names, table_of) -> PostulateInstance:
-    literal, body = _fresh_literal(rng, names)
-    kbs = [fold_constants(conj([random_dnf(rng, body), literal])),
-           fold_constants(conj([random_dnf(rng, body), _negated(literal)]))]
-    kbs.extend(random_dnf(rng, body) for _ in range(rng.randint(0, bounds.max_kbs - 2)))
+def _a2_instance(bounds, rng, pool) -> PostulateInstance:
+    literal, opposite, body = _fresh_literal(rng, pool)
+    kbs = [_with_literal(_draw_dnf(rng, body, pool), literal),
+           _with_literal(_draw_dnf(rng, body, pool), opposite)]
+    kbs.extend(_draw_dnf(rng, body, pool) for _ in range(rng.randint(0, bounds.max_kbs - 2)))
     rng.shuffle(kbs)
-    mu = _consistent_formula(rng, body, table_of)
-    return PostulateInstance((tuple(kbs),), (mu,), literal)
+    mu = _consistent_formula(rng, body, pool)
+    return _drawn_instance(pool, [kbs], [mu], literal)
 
 
 # ---------------------------------------------------------------------------

@@ -206,14 +206,18 @@ def truth_vector(formula: Formula, vocabulary: Iterable[str],
     return _compiler(vocabulary, cap)(formula)
 
 
+def _check_cap(width: int, cap: int) -> None:
+    """Refuse a vocabulary of ``width`` names wider than ``cap``."""
+    if width > cap:
+        raise VocabularyCapError(f"{width} variables exceed the enumeration cap of {cap}")
+
+
 def _compiler(vocabulary: Iterable[str],
               cap: int = DEFAULT_VOCAB_CAP) -> Callable[[Formula], int]:
     """:func:`truth_vector` over one vocabulary, which is checked against
     the cap once, for callers that compile many formulas over it."""
     vocab = _checked_vocabulary(vocabulary)
-    if len(vocab) > cap:
-        raise VocabularyCapError(
-            f"{len(vocab)} variables exceed the enumeration cap of {cap}")
+    _check_cap(len(vocab), cap)
     space, flips = _width_tables(len(vocab))
     patterns = {name: pattern for name, (_, pattern) in zip(vocab, flips)}
     return lambda formula: _vector(formula, space, patterns)

@@ -366,6 +366,38 @@ class TestCheck:
             3, "", "error: 4 variables exceed the enumeration cap of 2\n")
 
 
+class TestMaxVocabBelowTheWidth:
+    """``check --max-vocab`` below the drawn width exits 3 with the width
+    the cap refused.  IC2 and IC4 refuse while their instance is drawn,
+    with the width of the conjunction they test (IC4's can be narrower
+    than the pool); the others refuse the instance's whole vocabulary.
+    Recorded on the engine that compiled every drawn formula; every case
+    exits 3."""
+
+    MAX_VARS = (2, 3, 5)
+    SEEDS = range(4)
+    # (postulate, max_vars, seed) -> the width reported at caps 0, 1, ...;
+    # every other case reports max_vars at every cap
+    NARROWER = {("IC4", 3, 1): "223", ("IC4", 5, 0): "22555",
+                ("IC4", 5, 1): "33355", ("IC4", 5, 3): "22555"}
+
+    @pytest.mark.parametrize("operator", ["sigma", "f1"])
+    @pytest.mark.parametrize("postulate", ["IC0", "IC1", "IC2", "IC3", "IC4",
+                                           "IC7", "Maj", "A1", "A2"])
+    def test_the_refused_width_is_pinned(self, capsys, operator, postulate):
+        for max_vars in self.MAX_VARS:
+            for seed in self.SEEDS:
+                widths = self.NARROWER.get((postulate, max_vars, seed),
+                                           str(max_vars) * max_vars)
+                for cap, width in enumerate(widths):
+                    got = invoke(capsys, "check", "-o", operator, "--postulates",
+                                 postulate, "--max-vars", str(max_vars),
+                                 "--max-vocab", str(cap), "--seed", str(seed))
+                    expected = (3, "", f"error: {width} variables exceed the "
+                                       f"enumeration cap of {cap}\n")
+                    assert got == expected, (max_vars, seed, cap)
+
+
 class TestOutputWithoutFormulaTrees:
     """Answers print straight from their truth tables: the CLI builds no
     ``to_dnf`` tree and runs no tree printer for any of them."""

@@ -40,6 +40,7 @@ from beliefmerge import (
 from beliefmerge.merging import _transversals_with
 from beliefmerge.semantics import DEFAULT_VOCAB_CAP
 from beliefmerge.postulates import VAR_POOL, random_consistent_formula, random_dnf
+from test_corpus import random_profile
 
 
 AGGREGATES = {
@@ -456,6 +457,47 @@ class TestSmallProfiles:
             assert equivalent(op(Profile(base)).formula, op(Profile(doubled)).formula)
             assert (op(Profile(base)).forgetting_family
                     == op(Profile(doubled)).forgetting_family)
+
+
+class TestRepetition:
+    """``max``, ``f1`` and ``f2`` ignore KB repetition: balls are
+    intersected and closures are kept per distinct KB.  The postulate
+    harness memoises their merges on that property, so it is held here on
+    the answer corpus's profiles, each distinct KB repeated 1-4 times in a
+    shuffled order.  ``sigma`` and ``gmax`` count repetitions and must not
+    share the memo."""
+
+    BLIND = ("max", "f1", "f2")
+    COUNTING = ("sigma", "gmax")
+
+    @staticmethod
+    def pairs(count=300):
+        for seed in range(count):
+            base = random_profile(seed)
+            rng = random.Random(f"repeat:{seed}")
+            distinct = list(dict.fromkeys(base.kbs))
+            repeated = [kb for kb in distinct for _ in range(rng.randint(1, 4))]
+            rng.shuffle(repeated)
+            extra = base.extra_vars
+            yield (Profile(tuple(distinct), base.constraint, extra),
+                   Profile(tuple(repeated), base.constraint, extra))
+
+    @staticmethod
+    def answer(result):
+        return (result.model_set, result.k, result.distance_tuple,
+                result.forgetting_family, result.degenerate_constraint)
+
+    def test_blind_operators_merge_repeated_kbs_like_distinct_ones(self):
+        differs = dict.fromkeys(self.COUNTING, 0)
+        for distinct, repeated in self.pairs():
+            assert distinct.vocabulary == repeated.vocabulary
+            for tag in self.BLIND:
+                op = OPERATORS[tag]
+                assert self.answer(op(repeated)) == self.answer(op(distinct)), (tag, repeated)
+            for tag in self.COUNTING:
+                op = OPERATORS[tag]
+                differs[tag] += self.answer(op(repeated)) != self.answer(op(distinct))
+        assert all(differs.values()), differs
 
 
 class TestResultInvariants:

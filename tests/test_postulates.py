@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -27,17 +28,21 @@ from beliefmerge import (
     parse,
     replay_violation,
     serialize_violation,
+    truth_vector,
     variables,
 )
 from beliefmerge import postulates
 from beliefmerge.merging import OPERATORS
 from beliefmerge.semantics import DEFAULT_VOCAB_CAP
 from beliefmerge.postulates import (
+    VAR_POOL,
     _decide,
     _trial_rng,
     equivalent_rewrite,
     instance_from_record,
     random_consistent_formula,
+    random_dnf,
+    random_formula,
     require_bounds,
 )
 
@@ -183,6 +188,80 @@ class TestGenerators:
             assert any(entails(kb, negated) for kb in group)
 
 
+def draw_digests():
+    """A short hash per drawer of what it draws from seeded generators,
+    each draw followed by one more number from its generator, so that a
+    change in the calls a drawer makes shows as well as a change in what it
+    returns."""
+    hashes = {}
+
+    def add(key, drawn, rng):
+        text = f"{drawn!r} {rng.random()!r}\n"
+        hashes.setdefault(key, hashlib.sha256()).update(text.encode())
+
+    for i in range(200):
+        rng = random.Random(f"draws:{i}")
+        names = VAR_POOL[:1 + i % 5]
+        add("random_dnf", random_dnf(rng, names), rng)
+        add("random_formula", random_formula(rng, names, depth=i % 5), rng)
+        add("random_consistent_formula", random_consistent_formula(rng, names, i % 4), rng)
+        add("generate_instance",
+            generate_instance(GeneratorBounds(1 + i % 8, 1 + i % 6, i), rng), rng)
+    for bounds in (GeneratorBounds(seed=3), GeneratorBounds(5, 8, seed=3)):
+        for pid in PostulateId:
+            for trial in range(40):
+                rng = _trial_rng(bounds.seed, trial)
+                add(pid.value, instance_for(pid, bounds, rng), rng)
+    return {key: digest.hexdigest()[:10] for key, digest in hashes.items()}
+
+
+def drawn_rows(instance):
+    """Each formula of a drawn instance with its drawn table and mask."""
+    literal = () if instance.literal is None else (instance.literal,)
+    formulas = [kb for group in instance.groups for kb in group]
+    for formula in [*formulas, *instance.constraints, *literal]:
+        yield instance.drawn.rows[id(formula)]
+
+
+class TestDraws:
+    """The generator draws each formula with its truth table and
+    own-variable mask over the pool.  What it draws is pinned as recorded
+    on the generator that compiled every formula after drawing it."""
+
+    PINNED = {"random_dnf": "d29f56e582", "random_formula": "52a3d24a68",
+              "random_consistent_formula": "6233c4f5ee",
+              "generate_instance": "56394a1f76",
+              "IC0": "c5787e0cd0", "IC1": "c5787e0cd0", "IC2": "a26043d820",
+              "IC3": "f8e4064158", "IC4": "498d8bd90b", "IC5": "7837ef5b57",
+              "IC6": "7837ef5b57", "IC7": "d9b6de6ccb", "IC8": "d9b6de6ccb",
+              "Maj": "7837ef5b57", "MI": "7837ef5b57", "A1": "b3267b8cde",
+              "A2": "d60d7fd2a4"}
+
+    def test_draws_are_pinned(self):
+        assert draw_digests() == self.PINNED
+
+    @pytest.mark.parametrize("bounds", [GeneratorBounds(seed=7),
+                                        GeneratorBounds(5, 8, seed=7)],
+                             ids=["default", "5-vars-8-kbs"])
+    def test_drawn_rows_match_the_compiler(self, bounds):
+        pool = VAR_POOL[:bounds.max_vars]
+        bit = {name: 1 << j for j, name in enumerate(pool)}
+        compiled = 0
+        for pid in PostulateId:
+            for trial in range(30):
+                inst = instance_for(pid, bounds, _trial_rng(bounds.seed, trial))
+                for formula, table, mask in drawn_rows(inst):
+                    assert table == truth_vector(formula, pool), (pid, trial)
+                    assert mask == sum(bit[name] for name in variables(formula)), (pid, trial)
+                bare = PostulateInstance(inst.groups, inst.constraints, inst.literal)
+                assert bare == inst and bare.drawn is None
+                for op in OPERATORS.values():
+                    assert _decide(pid, op, inst) == _decide(pid, op, bare), (pid, trial)
+                vocabulary, _ = _decide(pid, OPERATORS["sigma"], bare)
+                compiled += vocabulary != pool
+        assert compiled  # some instances miss a pool name and are compiled
+
+
 class TestRandomizedSuites:
     BOUNDS = GeneratorBounds(max_vars=4, max_kbs=3, seed=42)
 
@@ -211,6 +290,19 @@ class TestRandomizedSuites:
         assert replay_violation(record)
         # serialisation survives a JSON round trip
         assert replay_violation(json.loads(json.dumps(record)))
+
+    def test_max_majority_merges_are_memoised_under_a_rebound_operator(self, monkeypatch):
+        # a tracer rebinds the values of OPERATORS; the rebound max is still
+        # blind to repetition, so each trial merges g2 and g1 + g2 once and
+        # n = 2..8 are lookups
+        plain = check_randomized(PostulateId.MAJ, "max", 20, self.BOUNDS)
+        calls = []
+        original = OPERATORS["max"]
+        monkeypatch.setitem(OPERATORS, "max",
+                            lambda profile: calls.append(1) or original(profile))
+        report = check_randomized(PostulateId.MAJ, "max", 20, self.BOUNDS)
+        assert report == plain and report.violations
+        assert len(calls) <= 2 * 20
 
     def test_report_invariant(self):
         assert CheckReport(PostulateId.IC0, "sigma", 10, ({},), 0).verdict == "fail"
