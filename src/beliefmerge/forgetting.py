@@ -67,9 +67,9 @@ def _dilated_models(formula: Formula, rounds: int,
     vector = truth_vector(formula, vocab, cap)
     if not vector:
         raise InconsistentFormulaError("cannot dilate an inconsistent formula")
-    space, flips = _width_tables(len(vocab))
+    _, flips = _width_tables(len(vocab))
     for _ in range(min(rounds, len(vocab))):
-        vector = _dilate_once(vector, space, flips)
+        vector = _dilate_once(vector, flips)
     return ModelSet(vocab, vector)
 
 

@@ -150,13 +150,13 @@ def _dilation_layers(profile: Profile) -> list[list[int]]:
     """Per KB position, the balls ``balls[k]`` of radius k around that KB,
     grown until the last covers the constraint.  KBs with equal tables
     share one list."""
-    space, flips = _width_tables(len(profile.vocabulary))
+    _, flips = _width_tables(len(profile.vocabulary))
     grown: dict[int, list[int]] = {}
     for table in profile.kb_tables:
         if table not in grown:
             balls = [table]
             while profile.constraint_table & ~balls[-1]:
-                balls.append(_dilate_once(balls[-1], space, flips))
+                balls.append(_dilate_once(balls[-1], flips))
             grown[table] = balls
     return [grown[table] for table in profile.kb_tables]
 
@@ -221,18 +221,22 @@ def merge_sigma(profile: Profile) -> MergeResult:
 
 
 def merge_max(profile: Profile) -> MergeResult:
-    """Keep the constraint models with the least worst-case distance."""
+    """Keep the constraint models with the least worst-case distance: grow
+    the distinct KBs' balls one radius at a time until they meet on a
+    constraint model.  Every ball is the whole space by radius |V|."""
     mu_vector = profile.constraint_table
     if not mu_vector:
         return _result("max", profile, 0, degenerate_constraint=True)
-    layers = _dilation_layers(profile)
+    _, flips = _width_tables(len(profile.vocabulary))
+    balls = list(dict.fromkeys(profile.kb_tables))
     k = 0
     while True:
         winners = mu_vector
-        for balls in layers:
-            winners &= _ball(balls, k)
+        for ball in balls:
+            winners &= ball
         if winners:
             return _result("max", profile, winners, k=k)
+        balls = [_dilate_once(ball, flips) for ball in balls]
         k += 1
 
 
@@ -268,7 +272,7 @@ class _ClosureTable:
     forgotten set projects onto each KB as ``mask & own``."""
 
     def __init__(self, profile: Profile):
-        self.space, self._flips = _width_tables(len(profile.vocabulary))
+        _, self._flips = _width_tables(len(profile.vocabulary))
         kbs = list(zip(profile.kb_tables, profile.kb_masks))
         distinct = list(dict.fromkeys(kbs))
         self.position = [distinct.index(kb) for kb in kbs]
@@ -287,7 +291,7 @@ class _ClosureTable:
             top = mask.bit_length() - 1
             weight, pattern = self._flips[top]
             table = self.closed(kb, mask ^ 1 << top)
-            table |= _flip(table, weight, pattern, self.space)
+            table |= _flip(table, weight, pattern)
             memo[mask] = table
         return table
 

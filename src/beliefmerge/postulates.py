@@ -462,6 +462,46 @@ def _var_pool(width: int) -> _Pool:
     return _Pool(VAR_POOL[:width])
 
 
+# The drawers below take their integers straight from ``getrandbits``, as
+# ``randint``, ``choice`` and ``sample`` would, call for call, without
+# those methods' Python frames; ``random()`` is called as it is.
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A number in 0 .. n-1 from ``bits``, a generator's ``getrandbits``,
+    drawn as ``Random._randbelow`` draws it: n.bit_length() bits, again
+    while the result is n or more.  So ``a + _below(bits, b - a + 1)`` is
+    ``randint(a, b)`` and ``seq[_below(bits, len(seq))]`` is
+    ``choice(seq)``.  An n below 1 raises ``ValueError``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        if n < 1:
+            raise ValueError(f"nothing to draw below {n}")
+        r = bits(k)
+    return r
+
+
+def _sample(bits: Callable[[int], int], population: Sequence, k: int) -> list:
+    """``sample(population, k)`` of the generator whose ``getrandbits`` is
+    ``bits``, for 0 <= k <= len(population): the stdlib's branch that swaps
+    each pick out of a list copy.  Over 21 items the stdlib may take its
+    set branch instead, so such populations go to ``sample`` itself."""
+    n = len(population)
+    if n > 21:
+        return bits.__self__.sample(population, k)
+    pool, picks = list(population), []
+    for left in range(n, n - k, -1):
+        j = _below(bits, left)
+        picks.append(pool[j])
+        pool[j] = pool[left - 1]
+    return picks
+
+
+# the connectives of _draw_formula, by the index it draws
+_NOT, _AND, _OR, _IMPLIES, _IFF = range(5)
+
+
 def random_dnf(rng: random.Random, names: Sequence[str]) -> Formula:
     """Random DNF over ``names``; consistent by construction, since each
     term conjoins literals over distinct variables."""
@@ -471,11 +511,12 @@ def random_dnf(rng: random.Random, names: Sequence[str]) -> Formula:
 def _draw_dnf(rng: random.Random, names: Sequence[str], pool: _Pool) -> Row:
     """:func:`random_dnf` over ``names``, as a row over ``pool``, which
     holds them."""
+    bits, coin = rng.getrandbits, rng.random
     terms, table, mask = [], 0, 0
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(1 + _below(bits, 3)):
         literals, term = [], pool.space
-        for name in rng.sample(names, rng.randint(1, len(names))):
-            literal, literal_table, bit = pool.literals[name][rng.random() < 0.5]
+        for name in _sample(bits, names, 1 + _below(bits, len(names))):
+            literal, literal_table, bit = pool.literals[name][coin() < 0.5]
             literals.append(literal)
             term &= literal_table
             mask |= bit
@@ -494,23 +535,24 @@ def _draw_formula(rng: random.Random, names: Sequence[str], pool: _Pool,
                   depth: int = 3) -> Row:
     """:func:`random_formula` over ``names``, as a row over ``pool``, which
     holds them."""
+    bits = rng.getrandbits
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.08:
             return pool.constants[rng.random() < 0.5]
-        return pool.literals[rng.choice(names)][1]
-    kind = rng.choice(("not", "and", "or", "implies", "iff"))
-    if kind == "not":
+        return pool.literals[names[_below(bits, len(names))]][1]
+    kind = _below(bits, 5)
+    if kind == _NOT:
         child, table, mask = _draw_formula(rng, names, pool, depth - 1)
         return Not(child), pool.space ^ table, mask
-    if kind in ("and", "or"):
+    if kind in (_AND, _OR):
         parts, tables, masks = zip(*[_draw_formula(rng, names, pool, depth - 1)
-                                     for _ in range(rng.randint(2, 3))])
-        if kind == "and":
+                                     for _ in range(2 + _below(bits, 2))])
+        if kind == _AND:
             return And(parts), reduce(and_, tables), reduce(or_, masks)
         return Or(parts), reduce(or_, tables), reduce(or_, masks)
     lhs, lhs_table, lhs_mask = _draw_formula(rng, names, pool, depth - 1)
     rhs, rhs_table, rhs_mask = _draw_formula(rng, names, pool, depth - 1)
-    if kind == "implies":
+    if kind == _IMPLIES:
         return Implies(lhs, rhs), (pool.space ^ lhs_table) | rhs_table, lhs_mask | rhs_mask
     return Iff(lhs, rhs), pool.space ^ lhs_table ^ rhs_table, lhs_mask | rhs_mask
 
@@ -547,7 +589,8 @@ def _draw_base(bounds: GeneratorBounds, rng: random.Random,
                pool: _Pool) -> tuple[list[list[Row]], list[Row]]:
     """The rows of :func:`generate_instance`'s groups and constraints."""
     names = pool.names
-    groups = [[_draw_dnf(rng, names, pool) for _ in range(rng.randint(1, bounds.max_kbs))]
+    groups = [[_draw_dnf(rng, names, pool)
+               for _ in range(1 + _below(rng.getrandbits, bounds.max_kbs))]
               for _ in range(2)]
     constraints = [_consistent_formula(rng, names, pool) for _ in range(2)]
     return groups, constraints

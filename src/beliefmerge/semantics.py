@@ -185,18 +185,23 @@ def _width_tables(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return (1 << size) - 1, tuple(flips)
 
 
-def _flip(table: int, weight: int, pattern: int, space: int) -> int:
+def _flip(table: int, weight: int, pattern: int) -> int:
     """``table`` with one variable negated in every member: ``pattern`` is
-    that variable's own truth table and ``weight`` its bit in a mask."""
-    return ((table & pattern) >> weight) | ((table & (space ^ pattern)) << weight)
+    that variable's own truth table and ``weight`` its bit in a mask.  The
+    members outside ``pattern`` are ``table ^ high``, so no table of the
+    variable's false half is needed."""
+    high = table & pattern
+    return high >> weight | (table ^ high) << weight
 
 
-def _dilate_once(table: int, space: int, flips: tuple[tuple[int, int], ...]) -> int:
+def _dilate_once(table: int, flips: tuple[tuple[int, int], ...]) -> int:
     """Assignments within Hamming distance one of a member of ``table``;
-    ``flips`` is the width's, as :func:`_width_tables` gives."""
+    ``flips`` is the width's, as :func:`_width_tables` gives.  This is
+    :func:`_flip` per variable, inlined."""
     grown = table
     for weight, pattern in flips:
-        grown |= _flip(table, weight, pattern, space)
+        high = table & pattern
+        grown |= high >> weight | (table ^ high) << weight
     return grown
 
 

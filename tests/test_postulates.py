@@ -36,7 +36,9 @@ from beliefmerge.merging import OPERATORS
 from beliefmerge.semantics import DEFAULT_VOCAB_CAP
 from beliefmerge.postulates import (
     VAR_POOL,
+    _below,
     _decide,
+    _sample,
     _trial_rng,
     equivalent_rewrite,
     instance_from_record,
@@ -260,6 +262,44 @@ class TestDraws:
                 vocabulary, _ = _decide(pid, OPERATORS["sigma"], bare)
                 compiled += vocabulary != pool
         assert compiled  # some instances miss a pool name and are compiled
+
+
+class TestStdlibStream:
+    """The drawers' integer helpers read ``getrandbits`` as the stdlib's
+    ``randrange``, ``randint``, ``choice`` and ``sample`` do: each call is
+    made on one generator and its stdlib form on a twin seeded alike, and
+    the two must agree on the value and on the generator state after it."""
+
+    SEEDS = range(4)
+
+    def test_below_is_randrange_randint_and_choice(self):
+        for seed in self.SEEDS:
+            rng, twin = random.Random(f"below:{seed}"), random.Random(f"below:{seed}")
+            for n in range(1, 65):
+                seq = tuple(range(100, 100 + n))
+                assert _below(rng.getrandbits, n) == twin.randrange(n), (seed, n)
+                assert rng.getstate() == twin.getstate()
+                assert 1 + _below(rng.getrandbits, n) == twin.randint(1, n), (seed, n)
+                assert rng.getstate() == twin.getstate()
+                assert seq[_below(rng.getrandbits, n)] == twin.choice(seq), (seed, n)
+                assert rng.getstate() == twin.getstate()
+
+    def test_sample_is_sample(self):
+        # populations over 21 cover the fallback to the stdlib's own sample
+        for seed in self.SEEDS:
+            rng, twin = random.Random(f"sample:{seed}"), random.Random(f"sample:{seed}")
+            for n in range(31):
+                population = tuple(f"x{j}" for j in range(n))
+                for k in range(n + 1):
+                    assert _sample(rng.getrandbits, population, k) == twin.sample(population, k)
+                    assert rng.getstate() == twin.getstate(), (seed, n, k)
+
+    def test_nothing_to_draw_raises(self):
+        rng = random.Random(0)
+        with pytest.raises(ValueError):
+            _below(rng.getrandbits, 0)
+        with pytest.raises(ValueError):
+            random_dnf(rng, ())
 
 
 class TestRandomizedSuites:
